@@ -65,6 +65,8 @@ _WOR_REJECTIONS = obs.counter(
     "Duplicate rejections in the WoR loop (expected O(1)/draw for s <= |S_q|/2)",
 )
 
+_UNSET = object()  # "not computed yet" marker for lazily cached attributes
+
 
 class RangeSamplerBase(RangeQueryMixin):
     """Shared plumbing for samplers over a sorted weighted point set.
@@ -144,12 +146,25 @@ class RangeSamplerBase(RangeQueryMixin):
 
         Raises :class:`EmptyQueryError` when the interval holds no keys.
         """
-        return [self.keys[i] for i in self.sample_indices(x, y, s, rng=rng)]
+        indices = self._query_indices(x, y, s, rng)
+        if not isinstance(indices, list):
+            # An intp array from a numpy-rung draw: one gather, when the
+            # key view round-trips to the same Python values and types.
+            view = self._key_view()
+            if view is not None:
+                return view[indices].tolist()
+            indices = indices.tolist()
+        return [self.keys[i] for i in indices]
 
     def sample_indices(
         self, x: float, y: float, s: int, *, rng: RNGLike = None
     ) -> List[int]:
         """Like :meth:`sample` but returns sorted-order element indices."""
+        indices = self._query_indices(x, y, s, rng)
+        return indices if isinstance(indices, list) else indices.tolist()
+
+    def _query_indices(self, x: float, y: float, s: int, rng: RNGLike):
+        """Validate, resolve the key span and draw (:meth:`_draw_span`)."""
         validate_sample_size(s)
         lo, hi = self.span_of(x, y)
         if lo >= hi:
@@ -158,8 +173,33 @@ class RangeSamplerBase(RangeQueryMixin):
             with obs.span(
                 "range.query", structure=type(self).__name__, s=s, span=hi - lo
             ):
-                return self.sample_span(lo, hi, s, rng=rng)
+                return self._draw_span(lo, hi, s, rng)
+        return self._draw_span(lo, hi, s, rng)
+
+    def _draw_span(self, lo: int, hi: int, s: int, rng: RNGLike):
+        """:meth:`sample_span`, free to return an ``intp`` index array
+        instead of a list (subclass hook; the keys are then gathered in
+        one numpy step)."""
         return self.sample_span(lo, hi, s, rng=rng)
+
+    def _key_view(self):
+        """``self.keys`` as a numpy array, or ``None`` when its
+        ``.tolist()`` would not give back the same Python values and
+        types (mixed int/float or object keys). Built on first use;
+        racing first calls build equal views, so no lock is needed."""
+        view = getattr(self, "_keys_array", _UNSET)
+        if view is _UNSET:
+            keys = list(self.keys)
+            try:
+                view = kernels.np.asarray(keys)
+            except (TypeError, ValueError, OverflowError):
+                view = None
+            if view is not None:
+                back = view.tolist() if view.dtype.kind in "iuf" else None
+                if back != keys or list(map(type, back)) != list(map(type, keys)):
+                    view = None
+            self._keys_array = view
+        return view
 
     def sample_span(
         self, lo: int, hi: int, s: int, rng: RNGLike = None
@@ -591,9 +631,28 @@ class AliasAugmentedRangeSampler(RangeSamplerBase):
             raise EmptyQueryError("empty index range")
         return self.execute_plan(self.plan_span(lo, hi), s, rng=rng)
 
+    def _draw_span(self, lo: int, hi: int, s: int, rng: RNGLike):
+        validate_sample_size(s)
+        if lo >= hi:
+            raise EmptyQueryError("empty index range")
+        return self._draw(self.plan_span(lo, hi), s, rng)
+
     def execute_plan(
         self, plan: QueryPlan, s: int, rng: RNGLike = None
     ) -> List[int]:
+        indices = self._draw(plan, s, rng)
+        return indices if isinstance(indices, list) else indices.tolist()
+
+    def _draw(self, plan: QueryPlan, s: int, rng: RNGLike):
+        """The Lemma-2 draw loop: ``s`` indices from ``plan``, cover part
+        by cover part.
+
+        Each part's indices stay as drawn — an ``intp`` array from the
+        batch kernel, a list from the scalar urn loop — and the parts
+        join in cover order: with one ``np.concatenate`` into an
+        ``intp`` array when any part came from the kernel, as a flat
+        list otherwise (small requests never touch numpy).
+        """
         rng = self._rng if rng is None else rng
         enabled = obs.ENABLED
         if enabled:
@@ -603,13 +662,14 @@ class AliasAugmentedRangeSampler(RangeSamplerBase):
         counts = multinomial_split(cover_weights, s, rng)
         batched = kernels.use_batch(s)
         gen = kernels.batch_generator(rng) if batched else None
-        result: List[int] = []
+        parts: list = []
+        kernel_parts = False
         probes = 0
         for (node, node_lo, tables), count in zip(entries, counts):
             if count == 0:
                 continue
             if tables is None:  # leaf
-                result.extend([node_lo] * count)
+                parts.append([node_lo] * count)
                 continue
             if enabled:
                 # Urn probes: each non-leaf draw touches exactly one urn
@@ -620,15 +680,18 @@ class AliasAugmentedRangeSampler(RangeSamplerBase):
             if batched and count >= kernels.BATCH_MIN_SIZE:
                 prob, alias = self._np_tables_for(node)
                 draws = kernels.alias_draw_batch(prob, alias, count, gen)
-                result.extend((node_lo + draws).tolist())
+                parts.append(draws + node_lo)
+                kernel_parts = True
             else:
                 prob, alias = tables
-                result.extend(
-                    int(node_lo + alias_draw(prob, alias, rng)) for _ in range(count)
+                parts.append(
+                    [int(node_lo + alias_draw(prob, alias, rng)) for _ in range(count)]
                 )
         if enabled and probes:
             _L2_PROBES.add(probes)
-        return result
+        if kernel_parts:
+            return kernels.np.concatenate(parts).astype(kernels.np.intp, copy=False)
+        return [index for part in parts for index in part]
 
     def _np_tables_for(self, node: int):
         tables = self._np_node_tables.get(node)

@@ -18,9 +18,13 @@ list of :class:`~repro.engine.protocol.QueryResult`:
   the whole structure, ``"sharded"`` splits each request's ``s``
   multinomially over ``shards`` contiguous key-space pieces, §4.1) over
   an **execution** backend (``"serial"`` in submission order;
-  ``"thread"`` over a :class:`~concurrent.futures.ThreadPoolExecutor`
-  — profitable when queries spend their time in NumPy batch kernels,
-  which drop the GIL; ``"process"`` over persistent worker processes,
+  ``"thread"`` over one engine-owned
+  :class:`~concurrent.futures.ThreadPoolExecutor`, started by the first
+  run, reused by every later one and released by :meth:`close` — on a
+  2-core x86_64 VM the ``cold-bulk`` benchmark workload (Lemma 2,
+  4 × s=4096 per call) runs at 0.63× its serial throughput on it,
+  because most of each request holds the GIL; ``"process"`` over
+  persistent worker processes,
   :mod:`repro.engine.worker` — for CPU-bound scalar samplers the GIL
   serializes). Under the local placement the process backend executes
   whole requests against worker-resident rebuilds from picklable build
@@ -53,6 +57,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import threading
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
 from time import perf_counter
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -193,6 +198,8 @@ class SamplingEngine:
         self._mp_context = mp_context
         self._errors = errors
         self._pool: Optional[ProcessPoolExecutor] = None
+        self._threads: Optional[ThreadPoolExecutor] = None
+        self._threads_lock = threading.Lock()
         # Shared-memory exports this engine owns: id(sampler) -> (sampler,
         # token) memo (the strong ref pins the id), plus the segments to
         # unlink at close().
@@ -247,7 +254,7 @@ class SamplingEngine:
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the pool and unlink shared segments (idempotent).
+        """Shut down the pools and unlink shared segments (idempotent).
 
         The engine owns every segment created through :meth:`share`;
         unlinking after the pool drains means no segment can leak even
@@ -258,6 +265,10 @@ class SamplingEngine:
         # shard-resident worker pools), and those workers must exit before
         # the segments they attached are unlinked.
         self._placement.close()
+        with self._threads_lock:
+            threads, self._threads = self._threads, None
+        if threads is not None:
+            threads.shutdown(wait=True)
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
@@ -480,11 +491,20 @@ class SamplingEngine:
             and len(jobs) > 1
             and self.max_workers > 1
         ):
-            with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                return list(
-                    pool.map(lambda job: self._execute_one(sampler, *job), jobs)
+            return list(
+                self._ensure_threads().map(
+                    lambda job: self._execute_one(sampler, *job), jobs
                 )
+            )
         return [self._execute_one(sampler, request, seed) for request, seed in jobs]
+
+    def _ensure_threads(self) -> ThreadPoolExecutor:
+        """The engine's local × thread pool, started on first use and
+        kept until :meth:`close` (a later run starts a fresh one)."""
+        with self._threads_lock:  # concurrent first runs must not start two
+            if self._threads is None:
+                self._threads = ThreadPoolExecutor(max_workers=self.max_workers)
+            return self._threads
 
     def _execute_one(
         self, sampler: Sampler, request: QueryRequest, seed: Optional[int]

@@ -65,12 +65,11 @@ class TestCacheMechanics:
         assert cache.get("x") is None
         cache.put("x", 42)
         assert cache.get("x") == 42
-        stats = cache.stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert stats["evictions"] == 0
-        assert stats["size"] == 1
-        assert stats["capacity"] == 4
+        assert cache.hits == 1
+        assert cache.misses == 1
+        assert cache.evictions == 0
+        assert len(cache) == 1
+        assert cache.capacity == 4
 
     def test_clear_keeps_counters(self):
         cache = QueryPlanCache(4)
@@ -123,9 +122,9 @@ class TestCacheMechanics:
             cache.get("x")
             cache.put("x", 1)
             cache.get("x")
-            # The per-instance shim still tallies with the registry off...
-            assert cache.stats()["hits"] == 1
-            assert cache.stats()["misses"] == 1
+            # The per-instance tallies still count with the registry off...
+            assert cache.hits == 1
+            assert cache.misses == 1
             # ...while the registry stays untouched.
             assert obs.value("plan_cache.hits") == 0
         finally:
@@ -151,7 +150,7 @@ class TestCapacityResolution:
         sampler = TreeWalkRangeSampler([1.0, 2.0, 3.0], rng=1)
         sampler.sample_span(0, 3, 2)
         assert not sampler.plan_cache.enabled
-        assert sampler.plan_cache.stats()["size"] == 0
+        assert len(sampler.plan_cache) == 0
 
     def test_blank_env_ignored(self, monkeypatch):
         monkeypatch.setenv(ENV_CAPACITY, "  ")
@@ -184,19 +183,19 @@ class TestSamplerIntegration:
         sampler = self.build(sampler_cls, rng=3)
         for _ in range(5):
             sampler.sample_span(7, 61, 4)
-        stats = sampler.plan_cache.stats()
-        assert stats["misses"] == 1
-        assert stats["hits"] == 4
-        assert stats["size"] == 1
+        scope = sampler.plan_cache
+        assert scope.misses == 1
+        assert scope.hits == 4
+        assert len(scope) == 1
 
     def test_distinct_spans_fill_and_evict(self, sampler_cls):
         sampler = self.build(sampler_cls, rng=4, plan_cache_size=3)
         for lo in range(6):
             sampler.sample_span(lo, lo + 30, 2)
-        stats = sampler.plan_cache.stats()
-        assert stats["misses"] == 6
-        assert stats["size"] == 3
-        assert stats["evictions"] == 3
+        scope = sampler.plan_cache
+        assert scope.misses == 6
+        assert len(scope) == 3
+        assert scope.evictions == 3
 
     def test_warm_run_byte_identical_to_cold_run(self, sampler_cls):
         spans = [(3, 77), (10, 40), (3, 77), (50, 96), (3, 77), (10, 40)]
