@@ -316,12 +316,13 @@ def rejection_accept_batch(
 
 def offset_concat_batch(
     parts: Sequence[Sequence[int]], offsets: Sequence[int]
-) -> List[int]:
-    """Concatenate per-shard local index lists, shifted to global indices.
+) -> "np.ndarray":
+    """Concatenate per-shard local indices, shifted to global indices.
 
-    The §4.1 merge kernel: part ``r`` (a shard's local draw indices) is
-    shifted by ``offsets[r]`` (that shard's global base) and the shifted
-    parts are concatenated in the order given. One flat add replaces the
+    The §4.1 merge kernel: part ``r`` (a shard's local draw indices, an
+    index list or ``intp`` array) is shifted by ``offsets[r]`` (that
+    shard's global base) and the shifted parts are concatenated in the
+    order given, into one ``intp`` array. One flat add replaces the
     per-element Python loop; merges clearing :data:`JIT_MIN_SIZE` run the
     compiled (parallel) add instead. Both tiers are byte-identical —
     the merge is pure arithmetic, no randomness is consumed.
@@ -329,7 +330,7 @@ def offset_concat_batch(
     lengths = np.fromiter((len(part) for part in parts), dtype=np.intp, count=len(parts))
     total = int(lengths.sum())
     if total == 0:
-        return []
+        return np.empty(0, dtype=np.intp)
     flat = np.concatenate([np.asarray(part, dtype=np.intp) for part in parts])
     offs = np.repeat(np.asarray(offsets, dtype=np.intp), lengths)
     if use_jit(total):
@@ -337,10 +338,10 @@ def offset_concat_batch(
             _DISPATCH_JIT.inc()
         out = np.empty(total, dtype=np.intp)
         kernels_jit.offset_merge(flat, offs, out)
-        return out.tolist()
+        return out
     if obs.ENABLED:
         _DISPATCH_NUMPY.inc()
-    return (flat + offs).tolist()
+    return flat + offs
 
 
 # ----------------------------------------------------------------------

@@ -67,6 +67,9 @@ _WOR_REJECTIONS = obs.counter(
 
 _UNSET = object()  # "not computed yet" marker for lazily cached attributes
 
+#: Key types whose numpy view gives back the same values and types.
+_KEY_VIEW_DTYPES = {float: "float64", int: "int64"}
+
 
 class RangeSamplerBase(RangeQueryMixin):
     """Shared plumbing for samplers over a sorted weighted point set.
@@ -189,15 +192,17 @@ class RangeSamplerBase(RangeQueryMixin):
         racing first calls build equal views, so no lock is needed."""
         view = getattr(self, "_keys_array", _UNSET)
         if view is _UNSET:
-            keys = list(self.keys)
+            # Exactly the all-float and all-int key lists round-trip;
+            # one type pass decides it without a trial ``.tolist()``.
+            kinds = set(map(type, self.keys))
+            dtype = _KEY_VIEW_DTYPES.get(kinds.pop()) if len(kinds) == 1 else None
             try:
-                view = kernels.np.asarray(keys)
-            except (TypeError, ValueError, OverflowError):
+                view = (
+                    None if dtype is None
+                    else kernels.np.array(self.keys, dtype=dtype)
+                )
+            except OverflowError:  # ints beyond int64
                 view = None
-            if view is not None:
-                back = view.tolist() if view.dtype.kind in "iuf" else None
-                if back != keys or list(map(type, back)) != list(map(type, keys)):
-                    view = None
             self._keys_array = view
         return view
 

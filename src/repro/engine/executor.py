@@ -91,7 +91,8 @@ _REBUILDS = obs.counter(
 )
 _SERIALIZED = obs.counter(
     "engine.serialized_bytes",
-    "Build-token bytes pickled to process-backend workers (per chunk)",
+    "Bytes pickled to process-backend workers: build tokens plus "
+    "shard draw messages",
 )
 _HARVESTS = obs.counter(
     "engine.harvested_chunks",
@@ -262,8 +263,8 @@ class SamplingEngine:
         with them, and unlink removes the name.
         """
         # Placement first: sharded views own their runners (thread pools,
-        # shard-resident worker pools), and those workers must exit before
-        # the segments they attached are unlinked.
+        # shard-resident worker processes), and those workers must exit
+        # and be joined before the segments they attached are unlinked.
         self._placement.close()
         with self._threads_lock:
             threads, self._threads = self._threads, None

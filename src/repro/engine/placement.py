@@ -200,15 +200,18 @@ def plan_fan_out(
 
 def merge_indices(
     partials: Sequence[Tuple[int, Sequence[int]]], bounds: Sequence[int]
-) -> List[int]:
+) -> Any:
     """Offset shard-local indices to global ones, in shard order.
 
     The order-preserving merge of §4.1: partials are sorted by shard id
     (deterministic regardless of which worker finished first) and each
     shard's local indices are shifted by its global base offset.
     Dispatches through the kernel ladder — the scalar extend loop below
-    the batch cutoff, :func:`repro.core.kernels.offset_concat_batch`
-    (numpy, or the compiled tier for large merges) above it.
+    the batch cutoff returns a list;
+    :func:`repro.core.kernels.offset_concat_batch` (numpy, or the
+    compiled tier for large merges) above it returns an ``intp`` array.
+    Partials may be lists or ``intp`` arrays; an array part is always at
+    least the batch cutoff long, so the scalar loop only sees lists.
     """
     from repro.core import kernels
 

@@ -18,10 +18,11 @@ spent in a different order.
 :class:`ShardedSampler` is itself a
 :class:`~repro.core.range_sampler.RangeSamplerBase`, so it inherits
 ``sample`` / ``sample_indices`` / ``sample_without_replacement`` and the
-engine protocol for free; only ``sample_span`` is reimplemented as
-*plan, fan out, merge*. The §4.1 arithmetic — the multinomial split on
-``derive_seed(base, 0)``, the per-shard streams ``derive_seed(base,
-1 + j)``, and the order-preserving merge — lives in
+engine protocol for free; only ``sample_span`` (and ``_draw_span``, its
+array-returning twin) is reimplemented as *plan, fan out, merge*. The
+§4.1 arithmetic — the multinomial split on ``derive_seed(base, 0)``,
+the per-shard streams ``derive_seed(base, 1 + j)``, and the
+order-preserving merge — lives in
 :mod:`repro.engine.placement` as pure functions of one stateless 64-bit
 base drawn from the request's stream; this class only *executes* the
 resulting :class:`~repro.engine.protocol.PlacementPlan`. Who executes
@@ -328,6 +329,13 @@ class ShardedSampler(RangeSamplerBase):
         so a per-request timeline shows how many shards a query touched
         and how long the split-draw-merge took.
         """
+        indices = self._draw_span(lo, hi, s, rng)
+        return indices if isinstance(indices, list) else indices.tolist()
+
+    def _draw_span(self, lo: int, hi: int, s: int, rng: RNGLike):
+        """:meth:`sample_span` without the list conversion: a merge above
+        the batch cutoff stays an ``intp`` array, so ``sample`` gathers
+        the keys in one numpy step."""
         if not obs.ENABLED:
             return self._fan_out(lo, hi, s, rng)
         with obs.span("engine.shard_fanout", s=s) as fanout_span:
@@ -364,7 +372,7 @@ class ShardedSampler(RangeSamplerBase):
 
     def _fan_out(
         self, lo: int, hi: int, s: int, rng: RNGLike = None, span: Any = None
-    ) -> List[int]:
+    ):
         generator = ensure_rng(rng) if rng is not None else self._rng
         # One stateless base per request: the split and every shard
         # stream derive from it, so concurrency cannot reorder

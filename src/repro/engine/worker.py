@@ -27,16 +27,20 @@ Token shapes (first element is the kind):
   exporter; the preferred path ships the shard as an ``("shm", ...)``
   token instead.
 
-Shard-resident execution (:func:`execute_shard_chunk`) is the composed
-``sharded × process`` backend's worker half: one shard lives in exactly
-one resident worker, and each call executes that shard's slice of
-placement plans — ``(lo, hi, quota, seed)`` sub-draws, a few ints each —
-so per-request bytes stay O(log n) end to end.
+Shard-resident execution is the composed ``sharded × process``
+backend's worker half. :func:`serve_shards` is the main loop of one
+resident process: it reads messages from its end of a duplex pipe,
+receives each shard's pickled token once, and answers every sub-draw —
+``(shard, lo, hi, quota, seed, trace, portable)``, a few ints each —
+with the :func:`execute_shard_chunk` envelope on the same pipe, so
+per-request bytes stay O(log n) end to end. Partials at or above the
+batch cutoff cross the pipe as ``intp`` arrays (lists on the scalar
+tier).
 
 Every execution error is captured *in the worker* into the result
 envelope, so one bad request cannot poison the pool; only a worker that
-dies outright (``os._exit``, OOM-kill) surfaces as a broken-pool error,
-which the parent converts into per-request
+dies outright (``os._exit``, OOM-kill) surfaces as a broken pool or a
+closed pipe, which the parent converts into per-request
 :class:`~repro.errors.WorkerCrashedError` envelopes.
 
 **Metric harvest** (``harvest=True``, set by the parent iff its metrics
@@ -45,8 +49,9 @@ with a :func:`repro.obs.harvest.baseline` / ``delta_since`` pair, tags
 every execution with the request's trace ID (a ``worker.execute`` span
 plus a flight-recorder entry carrying this PID), and returns the delta
 as the third envelope element. The parent merges it once per resolved
-future — a crashed worker returns no envelope, so its partial counts die
-with it and a retried request is never double-counted.
+future or envelope read off a resident's pipe — a crashed worker returns
+no envelope, so its partial counts die with it and a retried request is
+never double-counted.
 """
 
 from __future__ import annotations
@@ -57,10 +62,16 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
+from repro.core import kernels
 from repro.engine.protocol import QueryRequest, QueryResult
 from repro.substrates.rng import ensure_rng
 
-__all__ = ["build_from_token", "execute_chunk", "execute_shard_chunk"]
+__all__ = [
+    "build_from_token",
+    "execute_chunk",
+    "execute_shard_chunk",
+    "serve_shards",
+]
 
 #: Per-worker-process resident samplers, keyed by the pickled token.
 _RESIDENT: Dict[bytes, Any] = {}
@@ -205,9 +216,11 @@ def execute_shard_chunk(
     byte-identical to the ``sample_span`` path. All entries must target
     the shard this worker's ``token`` rebuilds (the parent routes one
     shard per resident worker). Returns ``(rebuilds, outcomes, delta)``
-    where each outcome is ``("ok", local_indices)`` or
-    ``("err", exception)`` — failures are captured per sub-draw so one
-    bad span cannot poison the shard's batchmates. With ``harvest`` on,
+    where each outcome is ``("ok", local_indices)`` — an ``intp`` array
+    when the quota clears the batch cutoff, a list below it or on the
+    scalar tier — or ``("err", exception)``; failures are captured per
+    sub-draw so one bad span cannot poison the shard's batchmates. With
+    ``harvest`` on,
     each sub-draw lands in the flight recorder tagged with its shard id
     (``spec`` suffix ``#s<j>``), so per-shard timelines fall out of the
     normal obs tail.
@@ -243,6 +256,10 @@ def execute_shard_chunk(
                     local = sampler.sample_span(
                         lo, hi, quota, rng=ensure_rng(seed)
                     )
+            if kernels.use_batch(len(local)):
+                # An array pickles as one buffer and feeds the parent's
+                # merge kernel without a list walk on either side.
+                local = kernels.np.asarray(local, dtype=kernels.np.intp)
             outcomes.append(("ok", local))
         except Exception as exc:
             error = _picklable_error(exc)
@@ -263,6 +280,44 @@ def execute_shard_chunk(
     if harvest:
         return rebuilds, outcomes, harvest_mod.delta_since(base)
     return rebuilds, outcomes, None
+
+
+def serve_shards(conn: Any) -> None:
+    """Main loop of one shard-resident worker process.
+
+    Messages arrive pickled on ``conn``, this worker's end of a duplex
+    pipe:
+
+    * ``("token", shard, key)`` — ``key`` is shard ``shard``'s pickled
+      build token, sent once per (resident, shard); no reply.
+    * ``(draw, harvest)`` — one sub-draw for :func:`execute_shard_chunk`
+      on that shard; its envelope goes back on ``conn``.
+    * ``None`` — stop.
+
+    The loop also ends when every copy of the parent's end is closed.
+    A token is unpickled only to build its shard; afterwards only its
+    head (kind and label, for harvest tags) is kept next to the built
+    sampler in ``_RESIDENT``.
+    """
+    keys: Dict[int, bytes] = {}
+    heads: Dict[bytes, Tuple[Any, ...]] = {}
+    while True:
+        try:
+            message = pickle.loads(conn.recv_bytes())
+        except (EOFError, KeyboardInterrupt):
+            return
+        if message is None:
+            return
+        if message[0] == "token":
+            _, shard, key = message
+            keys[shard] = key
+            continue
+        draw, harvest = message
+        key = keys[draw[0]]
+        head = heads.get(key) if key in _RESIDENT else None
+        token = head if head is not None else pickle.loads(key)
+        conn.send(execute_shard_chunk(key, token, [draw], harvest=harvest))
+        heads[key] = token[:2]
 
 
 def _spec_label(token: Tuple[Any, ...]) -> str:

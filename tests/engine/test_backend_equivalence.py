@@ -223,16 +223,20 @@ class TestComposedPlacementTier:
 
     def test_composed_process_ships_tokens_not_structures(self, metrics_on):
         # The shard residents attach shm segments (or rebuild once from a
-        # raw-array token); per-request traffic is the pickled token key
-        # plus five ints per shard — O(log n) bytes, not the structure.
+        # raw-array token). Each resident receives each of its shards'
+        # pickled tokens once; per-request traffic is then the draw
+        # message alone — a few ints per shard, O(log n) bytes.
         n = 20_000
         keys = [float(i) for i in range(n)]
         weights = [1.0 + (i % 9) for i in range(n)]
         sampler = build("range.chunked", keys=keys, weights=weights, rng=1)
-        requests = [
-            QueryRequest(op="sample", args=(50.0, float(n) - 50.0), s=24)
-            for _ in range(8)
-        ]
+
+        def requests():
+            return [
+                QueryRequest(op="sample", args=(50.0, float(n) - 50.0), s=24)
+                for _ in range(8)
+            ]
+
         with SamplingEngine(
             placement="sharded",
             backend="process",
@@ -240,14 +244,22 @@ class TestComposedPlacementTier:
             shards=4,
             max_workers=2,
         ) as engine:
-            results = engine.run(sampler, requests)
+            results = engine.run(sampler, requests())
+            first = metrics_on.value("engine.serialized_bytes")
+            results += engine.run(sampler, requests())
             shared_bytes = sum(seg.size for seg in engine._shm_segments)
+            (_, view), = engine._placement._views.values()
+            token_bytes = sum(len(key) for key in view._runner._keys)
         assert all(r.ok for r in results)
         assert shared_bytes > 500_000  # the structure itself is ~MBs…
         counters = metrics_on.snapshot()["counters"]
-        # …but what crossed the pipe per submission is token-sized.
-        assert 0 < counters["engine.serialized_bytes"] < 200_000
-        assert counters["engine.placement_shards"] > 0
+        assert counters["engine.placement_shards"] == 2 * 8 * 4
+        # …but the tokens crossed once, at most a few KB each…
+        assert 0 < token_bytes < 4 * 2_000
+        messages = counters["engine.serialized_bytes"] - first
+        assert token_bytes < first < token_bytes + messages + 4 * 100
+        # …and the second batch shipped draw messages only.
+        assert 0 < messages < 8 * 4 * 150
 
 
 class TestComposedCrashIsolation:

@@ -161,7 +161,21 @@ class TestMergeIndices:
                 for j in range(3)
                 for index in range(per_shard)
             ]
-            assert merge_indices(partials, self.BOUNDS) == expected
+            merged = merge_indices(partials, self.BOUNDS)
+            # The batch rung keeps the merge an intp array; the scalar
+            # loop below the cutoff builds a list.
+            batched = kernels.use_batch(len(expected))
+            assert isinstance(merged, list) != batched
+            assert (merged.tolist() if batched else merged) == expected
+
+    def test_merge_accepts_array_partials(self):
+        if not kernels.HAVE_NUMPY:
+            pytest.skip("array partials come from the numpy tier")
+        np = kernels.np
+        partials = [(1, np.arange(20, dtype=np.intp)), (0, [7] * 20)]
+        merged = merge_indices(partials, self.BOUNDS)
+        assert merged.dtype == np.intp
+        assert merged.tolist() == [7] * 20 + list(range(100, 120))
 
     def test_merge_dispatch_rides_the_kernel_ladder(self, metrics_on):
         if not kernels.HAVE_NUMPY:

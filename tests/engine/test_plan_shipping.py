@@ -20,6 +20,7 @@ import pickle
 import pytest
 
 from repro import obs
+from repro.core import kernels
 from repro.core.range_sampler import ChunkedRangeSampler
 from repro.engine import QueryRequest, SamplingEngine, demo_build
 
@@ -97,18 +98,25 @@ class TestWorkerExecutesShippedPlans:
         key = pickle.dumps(token) + b"#plan-shipping-identity"
         parent = ChunkedRangeSampler(list(keys), weights=list(weights), rng=0)
         portable = parent.plan_span(3, 57).portable()
-        try:
-            _, plain_out, _ = execute_shard_chunk(
-                key, token, [(0, 3, 57, 5, 1234, None)]
-            )
-            _RESIDENT.pop(key, None)  # fresh resident for the shipped leg
-            _, shipped_out, _ = execute_shard_chunk(
-                key, token, [(0, 3, 57, 5, 1234, None, portable)]
-            )
-        finally:
-            _RESIDENT.pop(key, None)
-        assert plain_out[0][0] == "ok", plain_out[0][1]
-        assert shipped_out == plain_out
+        # Quota 5 returns a list; 40 clears the batch cutoff and returns
+        # an intp array on the numpy tier.
+        for quota in (5, 40):
+            try:
+                _, plain_out, _ = execute_shard_chunk(
+                    key, token, [(0, 3, 57, quota, 1234, None)]
+                )
+                _RESIDENT.pop(key, None)  # fresh resident for the shipped leg
+                _, shipped_out, _ = execute_shard_chunk(
+                    key, token, [(0, 3, 57, quota, 1234, None, portable)]
+                )
+            finally:
+                _RESIDENT.pop(key, None)
+            (plain_status, plain), = plain_out
+            (shipped_status, shipped), = shipped_out
+            assert plain_status == shipped_status == "ok", plain
+            assert isinstance(plain, list) != kernels.use_batch(quota)
+            assert list(shipped) == list(plain)
+            assert len(plain) == quota
 
     def test_cover_hint_skips_the_cover_search(self):
         from repro.engine.worker import _RESIDENT, execute_shard_chunk
