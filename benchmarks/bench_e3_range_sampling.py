@@ -81,8 +81,9 @@ def bench_build_scalar_vs_batch(benchmark, dataset, batch_mode, name):
 def bench_repeated_range_plan_cache(benchmark, dataset, name, cache):
     """Warm vs cold plan cache on a hot-range workload (PR 2).
 
-    ``cold`` disables the :class:`QueryPlanCache` (capacity 0), ``warm``
-    uses the default capacity; EXPERIMENTS.md records the latency ratio.
+    ``cold`` disables the sampler's plan cache (``plan_cache_size=0``),
+    ``warm`` uses the default capacity; EXPERIMENTS.md records the
+    latency ratio.
     """
     keys, weights, queries = dataset
     x, y = queries[0.1]

@@ -73,7 +73,7 @@ def bench_engine_process(benchmark, requests):
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 def bench_engine_shard_scaling(benchmark, sampler, requests, shards):
     """One curve point per K: batched queries through the K-shard view."""
-    engine = SamplingEngine(backend="shard", seed=7, shards=shards)
+    engine = SamplingEngine(placement="sharded", backend="thread", seed=7, shards=shards)
     engine.run(sampler, requests[:8])  # build + memoize the K-shard view
     benchmark.group = "engine-shard-scaling"
     benchmark.extra_info["shards"] = shards
@@ -111,7 +111,9 @@ def test_shard_scaling_stays_deterministic(sampler, requests):
     """Every K on the curve reproduces the same engine-seeded batch."""
     per_k = {}
     for shards in SHARD_COUNTS:
-        engine = SamplingEngine(backend="shard", seed=7, shards=shards)
+        engine = SamplingEngine(
+            placement="sharded", backend="thread", seed=7, shards=shards
+        )
         first = engine.run(sampler, requests[:32])
         second = engine.run(sampler, requests[:32])
         assert [r.values for r in first] == [r.values for r in second]

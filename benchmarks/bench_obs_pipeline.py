@@ -1,7 +1,8 @@
 """Observability-pipeline tail-latency exporter (``BENCH_8.json``).
 
 Runs the same seeded batch workload through every engine backend
-(serial/thread/process/shard) with metrics **off** and **on**, and
+(serial/thread/process, and sharded × thread) with metrics **off** and
+**on**, and
 reports per-request tail latency (exact p50/p90/p99 over the results'
 ``elapsed_s``) plus batch wall-clock, so the cost of the full
 observability pipeline — trace assignment, spans, flight records, and
@@ -61,7 +62,13 @@ SPEC = "range.chunked"
 #: merge per envelope, and CI machines are noisy — but it catches an
 #: accidental O(requests) pickle or a per-draw harvest regression.
 GATE_RATIO = 1.75
-BACKENDS = ("serial", "thread", "process", "shard")
+#: Row label -> (backend, placement).
+BACKENDS = {
+    "serial": ("serial", None),
+    "thread": ("thread", None),
+    "process": ("process", None),
+    "sharded": ("thread", "sharded"),
+}
 
 
 def make_keys(n):
@@ -86,15 +93,16 @@ def exact_quantile(sorted_values, q):
 
 def run_backend(backend, keys, batch_template, repeats, workers):
     """Run ``repeats`` seeded batches; return (per-request us, batch seconds)."""
-    n = len(keys)
     per_request_us = []
     batch_seconds = []
+    execution, placement = BACKENDS[backend]
+    engine = SamplingEngine(
+        backend=execution, placement=placement, seed=42, max_workers=workers
+    )
     if backend == "process":
-        engine = SamplingEngine(backend=backend, seed=42, max_workers=workers)
         token = spec_token(SPEC, {"keys": keys, "rng": 1})
         runner = lambda reqs: engine.run_token(token, reqs)
     else:
-        engine = SamplingEngine(backend=backend, seed=42, max_workers=workers)
         sampler = build(SPEC, keys=keys, rng=1)
         runner = lambda reqs: engine.run(sampler, reqs)
     try:

@@ -1,7 +1,7 @@
 """Placement-matrix scaling exporter (``BENCH_9.json``).
 
 Runs one seeded range-sampling batch through the sharded placement under
-every execution backend — inline, the legacy thread pool, and the
+every execution backend — inline, the engine's thread pool, and the
 composed shard-per-process backend — and reports per-request tail
 latency (exact p50/p90/p99 over the results' ``elapsed_s``) plus batch
 wall-clock, so the scaling claim of the placement × execution refactor
@@ -58,7 +58,7 @@ from repro.engine.registry import build  # noqa: E402
 SPEC = "range.chunked"
 #: Scale-out budget under ``--gate``: the composed shard-per-process
 #: backend's best batch wall-clock must be at least this many times
-#: faster than the legacy sharded thread pool. The thread pool serializes
+#: faster than the sharded thread pool. The thread pool serializes
 #: the CPU-bound scalar portions of every shard draw on the GIL; shard
 #: residents run them on separate cores, so on a machine with enough
 #: cores the composition should clear 2x comfortably.

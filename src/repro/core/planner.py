@@ -27,9 +27,7 @@ explicit:
 ``PlanScope``
     One sampler's view of a store: the sampler-facing ``plan_cache``
     attribute. It carries the fingerprint, delegates ``get``/``put``,
-    and keeps the per-instance hit/miss/eviction tallies the old
-    ``QueryPlanCache.stats()`` shim exposed (now deprecated in favour of
-    the obs counters; see :meth:`PlanScope.stats`).
+    and keeps per-instance hit/miss/eviction tallies.
 
 Because a plan is deterministic, caching and shipping plans cannot
 change any query's output — only its latency. Byte-identity of the
@@ -40,7 +38,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-import warnings
 from collections import OrderedDict
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
@@ -200,11 +197,9 @@ class PlanStore:
     :class:`PlanScope` can report its own numbers even though the
     storage (and the LRU pressure) is shared.
 
-    Capacity resolution and the capacity-0 kill switch behave exactly
-    as the per-instance ``QueryPlanCache`` they replace: ``None`` defers
-    to ``REPRO_PLAN_CACHE_SIZE`` then :data:`DEFAULT_CAPACITY`; ``0``
-    disables the store outright (every lookup is a bypass; counters stay
-    at zero).
+    Capacity ``None`` defers to ``REPRO_PLAN_CACHE_SIZE`` then
+    :data:`DEFAULT_CAPACITY`; ``0`` disables the store outright (every
+    lookup is a bypass; counters stay at zero).
     """
 
     __slots__ = ("_capacity", "_entries", "_lock", "_scope_stats")
@@ -319,9 +314,8 @@ class PlanScope:
         self.plan_cache.put((lo, hi), plan)
 
     The per-instance ``hits``/``misses``/``evictions`` tallies record
-    regardless of the metrics switch (they are the deprecation-safe
-    alias for the retired ``stats()`` shim); the process-wide
-    aggregates live in the obs registry.
+    regardless of the metrics switch; the process-wide aggregates live
+    in the obs registry.
     """
 
     __slots__ = ("_store", "kind", "fingerprint")
@@ -368,32 +362,6 @@ class PlanScope:
 
     def clear(self) -> None:
         self._store.clear_scope(self.fingerprint)
-
-    def stats(self) -> Dict[str, int]:
-        """Deprecated counter snapshot (the retired per-instance shim).
-
-        The authoritative counters are the obs registry's
-        ``plan_cache.hits`` / ``.misses`` / ``.evictions`` (with
-        per-kind twins and a derived ``plan_cache.hit_rate``); the
-        per-instance numbers remain readable as the ``hits`` /
-        ``misses`` / ``evictions`` attributes. ``stats()`` stays one
-        release as a deprecation-safe alias and is asserted to agree
-        with the counters in ``tests/core/test_planner.py``.
-        """
-        warnings.warn(
-            "PlanScope.stats() is deprecated; read the hits/misses/evictions "
-            "attributes or the obs plan_cache.* counters instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        hits, misses, evictions = self._store.scope_counts(self.fingerprint)
-        return {
-            "hits": hits,
-            "misses": misses,
-            "evictions": evictions,
-            "size": len(self),
-            "capacity": self.capacity,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -25,13 +25,13 @@ them all:
   a placement (:mod:`repro.engine.placement` — ``local`` or the §4.1
   ``sharded`` key-space split) over an execution backend (serial /
   thread / process, :mod:`repro.engine.execution`). The local process
-  backend ships picklable ``(spec, params)`` build tokens to resident
-  pool workers (:mod:`repro.engine.worker`); the sharded placement
-  partitions a range structure's key space and splits each request's
-  budget multinomially (:class:`~repro.engine.shard.ShardedSampler`,
-  re-exported lazily here), and composed with the process backend keeps
-  one shard resident per worker. Legacy backend strings stay valid:
-  ``"shard"`` aliases ``placement="sharded", backend="thread"``.
+  backend ships picklable ``(spec, params)`` build tokens to the
+  engine's resident worker processes (:mod:`repro.engine.worker`); the
+  sharded placement partitions a range structure's key space and splits
+  each request's budget multinomially
+  (:class:`~repro.engine.shard.ShardedSampler`, re-exported lazily
+  here), and composed with the process backend keeps one shard resident
+  per worker.
 
 Quickstart::
 

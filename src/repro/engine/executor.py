@@ -23,17 +23,15 @@ list of :class:`~repro.engine.protocol.QueryResult`:
   run, reused by every later one and released by :meth:`close` — on a
   2-core x86_64 VM the ``cold-bulk`` benchmark workload (Lemma 2,
   4 × s=4096 per call) runs at 0.63× its serial throughput on it,
-  because most of each request holds the GIL; ``"process"`` over
-  persistent worker processes,
-  :mod:`repro.engine.worker` — for CPU-bound scalar samplers the GIL
-  serializes). Under the local placement the process backend executes
-  whole requests against worker-resident rebuilds from picklable build
-  tokens; under the sharded placement it keeps **one shard resident
-  per worker** (:mod:`repro.engine.execution`), shipped once via
-  shared memory, with per-request traffic a few ints per shard. Legacy
-  single-string backends remain aliases — ``"shard"`` is
-  ``placement="sharded", backend="thread"``, byte-identical.
-  docs/ARCHITECTURE.md has the placement × execution matrix.
+  because most of each request holds the GIL; the sharded placement's
+  shard draws fan out over the same pool; ``"process"`` over the
+  engine's worker processes, :class:`~repro.engine.execution.Residents`
+  — for CPU-bound scalar samplers the GIL serializes). Under the local
+  placement the process backend executes whole requests against
+  worker-resident rebuilds from picklable build tokens; under the
+  sharded placement it keeps **one shard resident per worker**,
+  shipped once via shared memory, with per-request traffic a few ints
+  per shard. docs/ARCHITECTURE.md has the placement × execution matrix.
 * **Error capture.** Per-request failures (empty interval, bad ``s``, a
   worker process dying mid-batch) are caught into ``result.error``
   instead of poisoning the batch; ``errors="raise"`` restores fail-fast
@@ -58,11 +56,12 @@ import multiprocessing
 import os
 import pickle
 import threading
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.engine.execution import Residents
 from repro.engine.placement import (
     DEFAULT_SHARDS,
     PLACEMENTS,
@@ -76,27 +75,13 @@ from repro.substrates.rng import DEFAULT_SEED, derive_seed, ensure_rng
 
 __all__ = ["BACKENDS", "PLACEMENTS", "SamplingEngine", "spec_token"]
 
-#: Accepted single-string backends (legacy spelling; ``"shard"`` is the
-#: alias for ``placement="sharded", backend="thread"``).
-BACKENDS = ("serial", "thread", "process", "shard")
+#: Execution backends, each valid under every placement.
+BACKENDS = ("serial", "thread", "process")
 
 _BATCHES = obs.counter("engine.batches", "SamplingEngine.run invocations")
 _REQUESTS = obs.counter("engine.requests", "Requests executed by the engine")
 _ERRORS = obs.counter(
     "engine.request_errors", "Requests whose execution raised (captured)"
-)
-_REBUILDS = obs.counter(
-    "engine.worker_rebuilds",
-    "Sampler rebuilds performed by process-backend workers",
-)
-_SERIALIZED = obs.counter(
-    "engine.serialized_bytes",
-    "Bytes pickled to process-backend workers: build tokens plus "
-    "shard draw messages",
-)
-_HARVESTS = obs.counter(
-    "engine.harvested_chunks",
-    "Worker metric deltas merged into the parent registry",
 )
 _REQUEST_US = obs.histogram(
     "engine.request_us",
@@ -128,16 +113,15 @@ class SamplingEngine:
     ----------
     backend:
         The execution backend: ``"serial"``, ``"thread"``, or
-        ``"process"`` (or the legacy alias ``"shard"``, which is
-        ``placement="sharded", backend="thread"``).
+        ``"process"``.
     placement:
         ``"local"`` (default) or ``"sharded"`` — where requests run
         (:mod:`repro.engine.placement`). ``placement="sharded"``
         composes with any execution backend; ``backend="process"``
         under it keeps one shard resident per worker process.
     max_workers:
-        Pool width (thread/process execution, shard fan-out); defaults
-        to ``min(8, cpu_count)``.
+        Width of the engine's thread pool and its number of worker
+        processes; defaults to ``min(8, cpu_count)``.
     seed:
         Engine master seed for per-request stream spawning. ``None``
         keeps the default policy seed (:data:`repro.substrates.rng.DEFAULT_SEED`);
@@ -153,10 +137,10 @@ class SamplingEngine:
         :data:`~repro.engine.placement.DEFAULT_SHARDS`); clamped to the
         structure's key count at run time.
     mp_context:
-        Start method for the process backend's pool (``"fork"``,
-        ``"spawn"``, ``"forkserver"``); ``None`` keeps the platform
-        default. Shared-memory tokens attach by segment name, so they
-        work under every start method.
+        Start method for the engine's worker processes (``"fork"``,
+        ``"spawn"``, ``"forkserver"``), under either placement;
+        ``None`` keeps the platform default. Shared-memory tokens attach
+        by segment name, so they work under every start method.
     """
 
     def __init__(
@@ -196,9 +180,8 @@ class SamplingEngine:
                 raise ValueError(
                     f"unknown mp_context {mp_context!r}; choose from {methods}"
                 )
-        self._mp_context = mp_context
         self._errors = errors
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self._workers = Residents(mp_context, self.max_workers)
         self._threads: Optional[ThreadPoolExecutor] = None
         self._threads_lock = threading.Lock()
         # Shared-memory exports this engine owns: id(sampler) -> (sampler,
@@ -255,24 +238,23 @@ class SamplingEngine:
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the pools and unlink shared segments (idempotent).
+        """Join the threads and worker processes, then unlink shared
+        segments (idempotent; a later run starts fresh ones).
 
         The engine owns every segment created through :meth:`share`;
-        unlinking after the pool drains means no segment can leak even
-        when workers crashed mid-batch — dead workers' mappings vanish
-        with them, and unlink removes the name.
+        unlinking after the workers are joined means no segment can leak
+        even when workers crashed mid-batch — dead workers' mappings
+        vanish with them, and unlink removes the name.
         """
-        # Placement first: sharded views own their runners (thread pools,
-        # shard-resident worker processes), and those workers must exit
-        # and be joined before the segments they attached are unlinked.
+        self._close(join_threads=True)
+
+    def _close(self, join_threads: bool) -> None:
         self._placement.close()
         with self._threads_lock:
             threads, self._threads = self._threads, None
         if threads is not None:
-            threads.shutdown(wait=True)
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
+            threads.shutdown(wait=join_threads)
+        self._workers.close()
         segments, self._shm_segments = self._shm_segments, []
         self._shm_tokens.clear()
         if segments:
@@ -314,8 +296,11 @@ class SamplingEngine:
         return False
 
     def __del__(self) -> None:  # pragma: no cover - interpreter teardown
+        # Garbage collection can run this inside another thread's start-up,
+        # where joining threads deadlocks: the pool's threads are told to
+        # exit and left to do so on their own.
         try:
-            self.close()
+            self._close(join_threads=False)
         except Exception:
             pass
 
@@ -375,7 +360,7 @@ class SamplingEngine:
     def run_token(
         self, token: Tuple[Any, ...], requests: Iterable[QueryRequest]
     ) -> List[QueryResult]:
-        """Execute a batch against a build token on the process pool.
+        """Execute a batch against a build token on the worker processes.
 
         ``token`` is any :mod:`repro.engine.worker` build token —
         normally :func:`spec_token`'s ``("spec", spec, params_items)``.
@@ -409,8 +394,8 @@ class SamplingEngine:
                 requests=len(batch),
                 sampler=spec,
             ):
-                return self._dispatch_process(key, token, jobs, spec)
-        return self._dispatch_process(key, token, jobs, spec)
+                return self._dispatch_process(key, jobs, spec)
+        return self._dispatch_process(key, jobs, spec)
 
     def explain(
         self, sampler: Sampler, request: QueryRequest
@@ -500,8 +485,9 @@ class SamplingEngine:
         return [self._execute_one(sampler, request, seed) for request, seed in jobs]
 
     def _ensure_threads(self) -> ThreadPoolExecutor:
-        """The engine's local × thread pool, started on first use and
-        kept until :meth:`close` (a later run starts a fresh one)."""
+        """The engine's thread pool (local requests, sharded fan-out),
+        started on first use and kept until :meth:`close` (a later run
+        starts a fresh one)."""
         with self._threads_lock:  # concurrent first runs must not start two
             if self._threads is None:
                 self._threads = ThreadPoolExecutor(max_workers=self.max_workers)
@@ -562,136 +548,55 @@ class SamplingEngine:
 
     # -- process backend -----------------------------------------------
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            context = (
-                multiprocessing.get_context(self._mp_context)
-                if self._mp_context is not None
-                else None
-            )
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.max_workers, mp_context=context
-            )
-        return self._pool
-
-    def _discard_pool(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def _merge_envelope(self, rebuilds: int, delta: Optional[dict]) -> None:
-        """Fold one worker envelope's accounting into the parent registry.
-
-        Called exactly once per successfully returned chunk (phase 1) or
-        retry (phase 2) — crash-safe by construction: a worker that died
-        never returned an envelope, so nothing it half-did is merged,
-        and the retried execution merges its own fresh delta once.
-        """
-        if rebuilds:
-            _REBUILDS.add(rebuilds)
-        if delta is not None:
-            _HARVESTS.inc()
-            obs.merge(delta)
-
     def _dispatch_process(
         self,
         key: bytes,
-        token: Tuple[Any, ...],
         jobs: List[Tuple[QueryRequest, Optional[int]]],
         spec: str = "?",
     ) -> List[QueryResult]:
-        """Chunked fan-out with crash recovery and metric harvest.
+        """One order-preserving chunk of jobs per worker process.
 
-        Phase 1 submits order-preserving chunks to the persistent pool
-        (the token rides along once per chunk; workers cache the built
-        sampler, so residency costs one build per worker). With metrics
-        enabled, each chunk's envelope also carries a registry delta of
-        everything the worker recorded executing it
-        (:mod:`repro.obs.harvest`), merged here exactly once per resolved
-        future. If a worker dies the pool breaks and every unfinished
-        chunk fails; phase 2 then retries each unresolved request
-        individually on a fresh pool, so one crashing request cannot
-        poison its batchmates — the crasher alone ends up with a
-        :class:`~repro.errors.WorkerCrashedError` envelope.
+        The worker processes (:class:`~repro.engine.execution.Residents`)
+        build the token's sampler once each, merge each chunk's metric
+        envelope once, and retry a crashed chunk's requests one at a
+        time; a request whose worker dies again gets a
+        :class:`~repro.errors.WorkerCrashedError` envelope here.
         """
-        from repro.engine.worker import execute_chunk
-
         enabled = obs.ENABLED
-        results: List[Optional[QueryResult]] = [None] * len(jobs)
-        if jobs:
-            chunk_size = max(1, math.ceil(len(jobs) / (self.max_workers * 4)))
-            pool = self._ensure_pool()
-            submitted = []
-            broke = False
-            for start in range(0, len(jobs), chunk_size):
-                chunk = jobs[start:start + chunk_size]
-                try:
-                    future = pool.submit(
-                        execute_chunk, key, token, chunk, harvest=enabled
-                    )
-                except BrokenExecutor:
-                    broke = True
-                    break
-                if enabled:
-                    # The token pickles to `key`, and rides along once per
-                    # chunk — this is the structure-serialization cost the
-                    # shm tokens keep O(1) in n.
-                    _SERIALIZED.add(len(key))
-                submitted.append((start, chunk, future))
-            for start, chunk, future in submitted:
-                try:
-                    rebuilds, chunk_results, delta = future.result()
-                except BrokenExecutor:
-                    broke = True
-                    continue
-                if enabled:
-                    self._merge_envelope(rebuilds, delta)
-                results[start:start + len(chunk)] = chunk_results
-            if broke:
-                self._discard_pool()
-            # Phase 2: settle every request the broken pool left behind.
-            for index, (request, seed) in enumerate(jobs):
-                if results[index] is not None:
-                    continue
-                pool = self._ensure_pool()
-                try:
-                    if enabled:
-                        _SERIALIZED.add(len(key))
-                    rebuilds, (single,), delta = pool.submit(
-                        execute_chunk, key, token, [(request, seed)],
-                        harvest=enabled,
-                    ).result()
-                    if enabled:
-                        self._merge_envelope(rebuilds, delta)
-                except BrokenExecutor as exc:
-                    self._discard_pool()
-                    single = QueryResult(
-                        request=request,
-                        values=None,
-                        seed=seed,
-                        trace_id=request.trace_id,
-                        error=WorkerCrashedError(
-                            f"process-backend worker died executing request "
-                            f"{index} (op {request.op!r}): {exc!r}"
-                        ),
-                    )
-                    if enabled:
-                        # The worker's own record died with it — log the
-                        # crash envelope parent-side so the flight
-                        # recorder still explains the failure.
-                        obs.RECORDER.record(
-                            trace=request.trace_id,
-                            spec=spec,
-                            op=request.op,
-                            s=request.s,
-                            backend=self.backend,
-                            duration_us=0.0,
-                            error=type(single.error).__name__,
-                        )
-                results[index] = single
+        size = max(1, math.ceil(len(jobs) / self.max_workers))
+        tasks = [
+            (slot, key, "chunk", jobs[start:start + size])
+            for slot, start in enumerate(range(0, len(jobs), size))
+        ]
+        results = [
+            result for outcomes in self._workers.run(tasks) for result in outcomes
+        ]
         out: List[QueryResult] = []
-        for result in results:
-            assert result is not None
+        for index, ((request, seed), result) in enumerate(zip(jobs, results)):
+            if result is None:
+                result = QueryResult(
+                    request=request,
+                    values=None,
+                    seed=seed,
+                    trace_id=request.trace_id,
+                    error=WorkerCrashedError(
+                        f"process-backend worker died executing request {index} "
+                        f"(op {request.op!r}), and again on the retry"
+                    ),
+                )
+                if enabled:
+                    # The worker's own record died with it — log the crash
+                    # envelope parent-side so the flight recorder still
+                    # explains the failure.
+                    obs.RECORDER.record(
+                        trace=request.trace_id,
+                        spec=spec,
+                        op=request.op,
+                        s=request.s,
+                        backend=self.backend,
+                        duration_us=0.0,
+                        error="WorkerCrashedError",
+                    )
             if result.error is not None:
                 if self._errors == "raise":
                     raise result.error

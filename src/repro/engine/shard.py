@@ -26,10 +26,9 @@ order-preserving merge — lives in
 :mod:`repro.engine.placement` as pure functions of one stateless 64-bit
 base drawn from the request's stream; this class only *executes* the
 resulting :class:`~repro.engine.protocol.PlacementPlan`. Who executes
-it is pluggable: by default the shard sub-draws fan out over this
-wrapper's own thread pool (the legacy ``"shard"`` backend semantics),
-but an engine can :meth:`bind_runner` any execution backend from
-:mod:`repro.engine.execution` — inline, threads, or shard-resident
+it is pluggable: by default the shard sub-draws run inline, and an
+engine can :meth:`bind_runner` any execution backend from
+:mod:`repro.engine.execution` — inline, the engine's threads, or its
 worker processes — and the merged output stays a pure function of
 ``(structure, request seed, K)`` because every task already carries its
 derived seed.
@@ -42,16 +41,15 @@ by user code), never from ``repro.engine``'s ``__init__`` — importing
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core import kernels
 from repro.core.planner import QueryPlan, plan_scope
 from repro.core.range_sampler import RangeSamplerBase
+from repro.engine.execution import SerialShardRunner
 from repro.engine.placement import merge_indices, plan_fan_out
-from repro.engine.protocol import PlacementPlan, ShardTask
+from repro.engine.protocol import ShardTask
 from repro.errors import EmptyQueryError
 from repro.substrates.rng import RNGLike, ensure_rng, spawn_rng
 
@@ -125,7 +123,6 @@ class ShardedSampler(RangeSamplerBase):
         keys: Sequence[float],
         weights: Optional[Sequence[float]] = None,
         rng: RNGLike = None,
-        max_workers: Optional[int] = None,
         plan_cache_size: Optional[int] = None,
     ):
         super().__init__(keys, weights)
@@ -155,10 +152,7 @@ class ShardedSampler(RangeSamplerBase):
                 prefix.append(acc)
         self._prefix: List[float] = prefix
         self._rng = ensure_rng(rng)
-        workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
-        self._max_workers = max(1, min(len(self.shards), workers))
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._runner: Optional[Any] = None
+        self._runner: Any = SerialShardRunner()
         self.plan_cache = plan_scope(self.plan_kind, plan_cache_size)
 
     # -- construction ------------------------------------------------------
@@ -174,7 +168,6 @@ class ShardedSampler(RangeSamplerBase):
         sampler: Any,
         num_shards: int,
         rng: RNGLike = None,
-        max_workers: Optional[int] = None,
     ) -> "ShardedSampler":
         """Partition ``sampler``'s key space into ``num_shards`` shards.
 
@@ -188,7 +181,7 @@ class ShardedSampler(RangeSamplerBase):
         if not cls.supports(sampler):
             raise TypeError(
                 f"{type(sampler).__name__} does not support key-space "
-                f"sharding; the shard backend needs a sorted-key range "
+                f"sharding; the sharded placement needs a sorted-key range "
                 f"structure (e.g. range.chunked, range.treewalk)"
             )
         if not isinstance(num_shards, int) or isinstance(num_shards, bool):
@@ -201,7 +194,6 @@ class ShardedSampler(RangeSamplerBase):
             list(sampler.weights),
             num_shards,
             rng=rng,
-            max_workers=max_workers,
         )
 
     @classmethod
@@ -212,7 +204,6 @@ class ShardedSampler(RangeSamplerBase):
         weights: Optional[Sequence[float]],
         num_shards: int,
         rng: RNGLike = None,
-        max_workers: Optional[int] = None,
     ) -> "ShardedSampler":
         """Build ``num_shards`` instances of ``shard_cls`` over key slices."""
         n = len(keys)
@@ -228,10 +219,7 @@ class ShardedSampler(RangeSamplerBase):
             )
             for j in range(count)
         ]
-        return cls(
-            shards, keys, weights=weight_list, rng=base_rng,
-            max_workers=max_workers,
-        )
+        return cls(shards, keys, weights=weight_list, rng=base_rng)
 
     # -- introspection -----------------------------------------------------
 
@@ -254,32 +242,10 @@ class ShardedSampler(RangeSamplerBase):
             shard.space_words() for shard in self.shards
         )
 
-    def bind_runner(self, runner: Optional[Any]) -> None:
-        """Route plan execution through ``runner`` (an execution backend).
-
-        ``None`` restores the default: fan out over this wrapper's own
-        thread pool, the legacy ``"shard"`` backend semantics. The bound
-        runner is owned by this view — :meth:`close` closes it.
-        """
-        previous, self._runner = self._runner, runner
-        if previous is not None and previous is not runner:
-            previous.close()
-
-    def close(self) -> None:
-        """Shut down the shard worker pool and bound runner (idempotent)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-        runner, self._runner = self._runner, None
-        if runner is not None:
-            runner.close()
-
-    def __enter__(self) -> "ShardedSampler":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> bool:
-        self.close()
-        return False
+    def bind_runner(self, runner: Any) -> None:
+        """Run plan tasks through ``runner``, an execution backend from
+        :mod:`repro.engine.execution` (by default they run inline)."""
+        self._runner = runner
 
     # -- the sharded hot path ----------------------------------------------
 
@@ -305,16 +271,6 @@ class ShardedSampler(RangeSamplerBase):
                 continue
             active.append((j, a - bounds[j], b - bounds[j], weight))
         return active
-
-    def _shard_pool(self) -> Optional[ThreadPoolExecutor]:
-        if self._max_workers < 2:
-            return None
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._max_workers,
-                thread_name_prefix="repro-shard",
-            )
-        return self._pool
 
     def sample_span(self, lo: int, hi: int, s: int, rng: RNGLike = None) -> List[int]:
         """Split ``s`` multinomially over shards, fan out, merge.
@@ -404,25 +360,5 @@ class ShardedSampler(RangeSamplerBase):
                 f"{self.num_shards} shards"
             )
         placement_plan = plan_fan_out(active, s, base, sub_plans=sub_plans)
-        if self._runner is not None:
-            partials = self._runner.run_plan(self, placement_plan)
-        else:
-            partials = self._run_plan_threaded(placement_plan)
+        partials = self._runner.run_plan(self, placement_plan)
         return merge_indices(partials, self._bounds)
-
-    def _run_plan_threaded(self, plan: PlacementPlan) -> List[Tuple[int, List[int]]]:
-        """Default execution: fan the plan out over this wrapper's pool."""
-        tasks = plan.tasks
-        plans = plan.plans or (None,) * len(tasks)
-        pool = self._shard_pool() if len(tasks) > 1 else None
-        if pool is not None:
-            return list(
-                pool.map(
-                    lambda pair: run_shard_task(self.shards, pair[0], pair[1]),
-                    zip(tasks, plans),
-                )
-            )
-        return [
-            run_shard_task(self.shards, task, sub)
-            for task, sub in zip(tasks, plans)
-        ]

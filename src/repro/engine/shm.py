@@ -71,7 +71,7 @@ _ATTACH_US = obs.histogram(
 
 #: Process-lifetime keepalive: segment name -> open handle. A worker that
 #: attached a structure must keep the mapping alive as long as the
-#: resident sampler lives (forever, for a pool worker); re-attaching the
+#: resident sampler lives (forever, for an engine worker); re-attaching the
 #: same segment reuses the handle.
 _ATTACHED: Dict[str, SharedMemory] = {}
 

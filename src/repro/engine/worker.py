@@ -27,20 +27,20 @@ Token shapes (first element is the kind):
   exporter; the preferred path ships the shard as an ``("shm", ...)``
   token instead.
 
-Shard-resident execution is the composed ``sharded × process``
-backend's worker half. :func:`serve_shards` is the main loop of one
-resident process: it reads messages from its end of a duplex pipe,
-receives each shard's pickled token once, and answers every sub-draw —
-``(shard, lo, hi, quota, seed, trace, portable)``, a few ints each —
-with the :func:`execute_shard_chunk` envelope on the same pipe, so
-per-request bytes stay O(log n) end to end. Partials at or above the
-batch cutoff cross the pipe as ``intp`` arrays (lists on the scalar
-tier).
+:func:`serve` is the main loop of one engine worker process
+(:class:`repro.engine.execution.Residents`). It reads messages from its
+end of a duplex pipe, receives each build token once, and answers every
+message on the same pipe: a chunk of whole requests (local × process)
+with the :func:`execute_chunk` envelope, a shard sub-draw —
+``(shard, lo, hi, quota, seed, trace, portable)``, a few ints — with
+the :func:`execute_shard_chunk` envelope, so sharded per-request bytes
+stay O(log n) end to end. Partials at or above the batch cutoff cross
+the pipe as ``intp`` arrays (lists on the scalar tier).
 
 Every execution error is captured *in the worker* into the result
-envelope, so one bad request cannot poison the pool; only a worker that
-dies outright (``os._exit``, OOM-kill) surfaces as a broken pool or a
-closed pipe, which the parent converts into per-request
+envelope, so one bad request cannot take a worker down; only a worker
+that dies outright (``os._exit``, OOM-kill) surfaces as a closed pipe,
+which the parent converts into per-request
 :class:`~repro.errors.WorkerCrashedError` envelopes.
 
 **Metric harvest** (``harvest=True``, set by the parent iff its metrics
@@ -48,10 +48,10 @@ are enabled): the worker enables its own registry, brackets the chunk
 with a :func:`repro.obs.harvest.baseline` / ``delta_since`` pair, tags
 every execution with the request's trace ID (a ``worker.execute`` span
 plus a flight-recorder entry carrying this PID), and returns the delta
-as the third envelope element. The parent merges it once per resolved
-future or envelope read off a resident's pipe — a crashed worker returns
-no envelope, so its partial counts die with it and a retried request is
-never double-counted.
+as the third envelope element. The parent merges it once per envelope
+read off the pipe — a crashed worker returns no envelope, so its
+partial counts die with it and a retried request is never
+double-counted.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ __all__ = [
     "build_from_token",
     "execute_chunk",
     "execute_shard_chunk",
-    "serve_shards",
+    "serve",
 ]
 
 #: Per-worker-process resident samplers, keyed by the pickled token.
@@ -142,7 +142,7 @@ def execute_chunk(
         from repro.obs import harvest as harvest_mod
 
         # The parent may have enabled metrics after this worker forked
-        # (or the pool spawned without REPRO_METRICS): the per-chunk flag
+        # (or was spawned without REPRO_METRICS): the per-chunk flag
         # is authoritative. Enabling is sticky — residency makes this
         # worker serve many chunks, and re-disabling between chunks
         # would only race the next flag.
@@ -282,20 +282,22 @@ def execute_shard_chunk(
     return rebuilds, outcomes, None
 
 
-def serve_shards(conn: Any) -> None:
-    """Main loop of one shard-resident worker process.
+def serve(conn: Any) -> None:
+    """Main loop of one engine worker process.
 
     Messages arrive pickled on ``conn``, this worker's end of a duplex
     pipe:
 
-    * ``("token", shard, key)`` — ``key`` is shard ``shard``'s pickled
-      build token, sent once per (resident, shard); no reply.
-    * ``(draw, harvest)`` — one sub-draw for :func:`execute_shard_chunk`
-      on that shard; its envelope goes back on ``conn``.
+    * ``("token", tid, key)`` — ``key`` is a pickled build token, sent
+      once per (worker, token) and named ``tid`` from then on; no reply.
+    * ``(kind, tid, items, harvest)`` — ``"chunk"`` runs ``items`` as
+      ``(request, seed)`` jobs through :func:`execute_chunk`,
+      ``"shard"`` runs them as sub-draws through
+      :func:`execute_shard_chunk`; the envelope goes back on ``conn``.
     * ``None`` — stop.
 
     The loop also ends when every copy of the parent's end is closed.
-    A token is unpickled only to build its shard; afterwards only its
+    A token is unpickled only to build its sampler; afterwards only its
     head (kind and label, for harvest tags) is kept next to the built
     sampler in ``_RESIDENT``.
     """
@@ -308,15 +310,15 @@ def serve_shards(conn: Any) -> None:
             return
         if message is None:
             return
-        if message[0] == "token":
-            _, shard, key = message
-            keys[shard] = key
+        kind, tid, body = message[:3]
+        if kind == "token":
+            keys[tid] = body
             continue
-        draw, harvest = message
-        key = keys[draw[0]]
+        key = keys[tid]
         head = heads.get(key) if key in _RESIDENT else None
         token = head if head is not None else pickle.loads(key)
-        conn.send(execute_shard_chunk(key, token, [draw], harvest=harvest))
+        execute = execute_shard_chunk if kind == "shard" else execute_chunk
+        conn.send(execute(key, token, body, harvest=message[3]))
         heads[key] = token[:2]
 
 

@@ -24,7 +24,7 @@ around each request's execution, and every span opened underneath —
 shard fan-outs, shared-memory attaches, worker execution spans —
 auto-attaches it as a ``trace`` attribute. That is what lets
 :func:`repro.obs.timeline` reassemble one request's spans and flight
-records across serial/thread/process/shard backends.
+records across every placement and execution backend.
 """
 
 from __future__ import annotations

@@ -42,9 +42,6 @@ RNGLike = Union[int, random.Random, None]
 #: for the full policy.
 DEFAULT_SEED = 0x51_AB_5E_ED
 
-# Backwards-compatible alias (pre-engine code imported the underscored name).
-_DEFAULT_SEED = DEFAULT_SEED
-
 _MASK64 = (1 << 64) - 1
 
 

@@ -1,4 +1,7 @@
-"""QueryPlanCache semantics and its integration into the range samplers.
+"""Plan-cache semantics and their integration into the range samplers.
+
+The cache under test is a :class:`~repro.core.planner.PlanScope` over a
+:class:`~repro.core.planner.PlanStore` of its own: one owner, one LRU.
 
 Three concerns, in order of subtlety:
 
@@ -19,10 +22,11 @@ import random
 import pytest
 
 from repro.core import kernels
-from repro.core.plan_cache import (
+from repro.core.planner import (
     DEFAULT_CAPACITY,
     ENV_CAPACITY,
-    QueryPlanCache,
+    PlanScope,
+    PlanStore,
     resolve_capacity,
 )
 from repro.core.range_sampler import (
@@ -38,9 +42,13 @@ from repro.stats.independence import (
 SAMPLERS = [TreeWalkRangeSampler, AliasAugmentedRangeSampler, ChunkedRangeSampler]
 
 
+def make_cache(capacity=None):
+    return PlanScope(PlanStore(capacity), "treewalk")
+
+
 class TestCacheMechanics:
     def test_lru_eviction_order(self):
-        cache = QueryPlanCache(2)
+        cache = make_cache(2)
         cache.put("a", 1)
         cache.put("b", 2)
         assert cache.get("a") == 1  # refreshes "a"; "b" is now LRU
@@ -51,7 +59,7 @@ class TestCacheMechanics:
         assert cache.evictions == 1
 
     def test_put_refreshes_existing_key(self):
-        cache = QueryPlanCache(2)
+        cache = make_cache(2)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.put("a", 10)  # refresh, not insert: no eviction
@@ -61,7 +69,7 @@ class TestCacheMechanics:
         assert cache.get("b") is None
 
     def test_counters(self):
-        cache = QueryPlanCache(4)
+        cache = make_cache(4)
         assert cache.get("x") is None
         cache.put("x", 42)
         assert cache.get("x") == 42
@@ -72,7 +80,7 @@ class TestCacheMechanics:
         assert cache.capacity == 4
 
     def test_clear_keeps_counters(self):
-        cache = QueryPlanCache(4)
+        cache = make_cache(4)
         cache.put("x", 1)
         cache.get("x")
         cache.clear()
@@ -80,7 +88,7 @@ class TestCacheMechanics:
         assert cache.hits == 1
 
     def test_capacity_zero_disables(self):
-        cache = QueryPlanCache(0)
+        cache = make_cache(0)
         assert not cache.enabled
         cache.put("x", 1)
         assert cache.get("x") is None
@@ -90,7 +98,7 @@ class TestCacheMechanics:
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
-            QueryPlanCache(-1)
+            make_cache(-1)
 
     def test_registry_counters_mirror_instance_counters(self):
         from repro import obs
@@ -99,7 +107,7 @@ class TestCacheMechanics:
         obs.enable()
         obs.reset()
         try:
-            cache = QueryPlanCache(2)
+            cache = make_cache(2)
             cache.get("x")  # miss
             cache.put("x", 1)
             cache.get("x")  # hit
@@ -118,7 +126,7 @@ class TestCacheMechanics:
         saved = obs.ENABLED
         obs.disable()
         try:
-            cache = QueryPlanCache(2)
+            cache = make_cache(2)
             cache.get("x")
             cache.put("x", 1)
             cache.get("x")
@@ -143,7 +151,7 @@ class TestCapacityResolution:
     def test_env_knob(self, monkeypatch):
         monkeypatch.setenv(ENV_CAPACITY, "7")
         assert resolve_capacity() == 7
-        assert QueryPlanCache().capacity == 7
+        assert make_cache().capacity == 7
 
     def test_env_zero_disables(self, monkeypatch):
         monkeypatch.setenv(ENV_CAPACITY, "0")
@@ -166,7 +174,7 @@ class TestCapacityResolution:
         with pytest.raises(ValueError):
             resolve_capacity()
         with pytest.raises(ValueError):
-            QueryPlanCache()
+            make_cache()
 
 
 @pytest.mark.parametrize("sampler_cls", SAMPLERS)

@@ -1,22 +1,18 @@
 """The query-planning layer: QueryPlan values, PlanStore, PlanScope.
 
-Four concerns:
+Three concerns:
 
 1. **QueryPlan value semantics** — cover/weight accessors, the portable
    (cross-process) form, and the ``--explain`` description payload.
 2. **Store sharing** — one engine-scoped ``PlanStore`` serves many
    samplers, keyed by structure fingerprint, without any cross-talk
    between structures; the LRU bound is a shared budget.
-3. **Scope/counter agreement** — the per-instance tallies (the
-   deprecation-safe alias for the retired ``stats()`` shim) must agree
+3. **Scope/counter agreement** — the per-instance tallies must agree
    with the obs registry's ``plan_cache.*`` counters and their per-kind
    twins whenever metrics are on.
-4. **Deprecation** — ``stats()`` warns but keeps returning the shim
-   dict, unchanged in shape.
 """
 
 import random
-import warnings
 
 import pytest
 
@@ -186,23 +182,6 @@ class TestShimCounterAgreement:
             obs.reset()
             (obs.enable if saved else obs.disable)()
 
-    def test_stats_shim_agrees_and_warns(self):
-        store = PlanStore(4)
-        scope = PlanScope(store, "treewalk")
-        scope.get((0, 1))
-        scope.put((0, 1), "x")
-        scope.get((0, 1))
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            stats = scope.stats()
-        assert stats == {
-            "hits": scope.hits,
-            "misses": scope.misses,
-            "evictions": scope.evictions,
-            "size": len(scope),
-            "capacity": scope.capacity,
-        }
-        assert stats["hits"] == 1 and stats["misses"] == 1
-
     def test_scope_tallies_record_with_metrics_off(self):
         saved = obs.ENABLED
         obs.disable()
@@ -219,20 +198,3 @@ class TestShimCounterAgreement:
             assert obs.value("plan_cache.hits") == before
         finally:
             (obs.enable if saved else obs.disable)()
-
-    def test_sampler_stats_route_matches_legacy_shape(self):
-        """The retired per-instance shim and the new scope report the
-        same dict shape through ``sampler.plan_cache.stats()``."""
-        sampler = TreeWalkRangeSampler(
-            [float(i) for i in range(32)], rng=5, plan_cache_size=4
-        )
-        sampler.sample_span(3, 29, 2)
-        sampler.sample_span(3, 29, 2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            stats = sampler.plan_cache.stats()
-        assert set(stats) == {"hits", "misses", "evictions", "size", "capacity"}
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert stats["size"] == 1
-        assert stats["capacity"] == 4

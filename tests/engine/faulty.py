@@ -13,6 +13,23 @@ from repro.core.range_sampler import RangeSamplerBase
 from repro.engine.protocol import EngineOp, EngineSampler
 from repro.substrates.rng import ensure_rng
 
+#: Environment variable naming a marker file. When it is set, a fault
+#: that would kill its worker does so only if the file does not exist
+#: yet, creating it first: the first attempt dies and any retry
+#: succeeds. Workers see it if it is set before they start.
+DIE_ONCE = "REPRO_TEST_DIE_ONCE"
+
+
+def die() -> None:
+    """Hard-kill this process (``os._exit``), once only under DIE_ONCE."""
+    marker = os.environ.get(DIE_ONCE)
+    if marker is not None:
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return
+    os._exit(17)
+
 
 class FaultySampler(EngineSampler):
     """Engine sampler whose behaviour is chosen per request.
@@ -21,8 +38,9 @@ class FaultySampler(EngineSampler):
 
     * ``"ok"`` — return ``s`` deterministic floats from the request rng.
     * ``"raise"`` — raise ``RuntimeError`` inside the worker.
-    * ``"die"`` — hard-kill the worker process (``os._exit``), simulating
-      a segfault/OOM kill: no exception propagates, the pool just breaks.
+    * ``"die"`` — hard-kill the worker process (:func:`die`), simulating
+      a segfault/OOM kill: no exception propagates, the worker is just
+      gone. A draw that survives :func:`die` continues as ``"ok"``.
 
     With metrics enabled, every completed ``"ok"`` draw increments the
     ``faulty.draws`` counter — a metric that exists only in worker
@@ -42,7 +60,7 @@ class FaultySampler(EngineSampler):
         if behavior == "raise":
             raise RuntimeError("injected worker failure")
         if behavior == "die":
-            os._exit(17)
+            die()
         base = rng.random() if rng is not None else 0.5
         if obs.ENABLED:
             obs.counter(
@@ -62,7 +80,7 @@ class FaultyRangeSampler(RangeSamplerBase):
     """Range structure whose shard hard-dies over poisoned keys.
 
     Keys below :data:`DIE_BELOW` are poisoned: ``sample_span`` over a
-    span that starts on a poisoned key calls ``os._exit``. Under the
+    span that starts on a poisoned key calls :func:`die`. Under the
     composed ``sharded × process`` backend only the shard *owning* those
     keys has a dying resident worker, so the crash-isolation test can
     assert that requests touching that shard fail with
@@ -87,7 +105,7 @@ class FaultyRangeSampler(RangeSamplerBase):
         self, lo: int, hi: int, s: int, rng: Any = None
     ) -> List[int]:
         if self.keys[lo] < self.DIE_BELOW:
-            os._exit(17)
+            die()
         rng = self._rng if rng is None else rng
         width = hi - lo
         return [

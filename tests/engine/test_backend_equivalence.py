@@ -16,10 +16,10 @@ a fixed seed, so the suite is deterministic and flake-free.
 
 Tier 3 (composed placement): the placement × execution refactor promises
 that ``placement="sharded"`` composed with *any* execution backend —
-inline, threads, or shard-resident worker processes — produces output
-byte-identical to the legacy ``"shard"`` backend at every shard count,
-because every shard task carries a stateless derived seed. A dying
-shard-resident worker must fail only the requests touching its shard.
+inline, threads, or shard-resident worker processes — produces
+byte-identical output at every shard count, because every shard task
+carries a stateless derived seed. A shard-resident worker that keeps
+dying must fail only the requests touching its shard.
 """
 
 import pytest
@@ -118,17 +118,17 @@ class TestDistributionalTier:
         "backend,placement,shards",
         [
             ("serial", None, None),
-            ("shard", None, 4),
+            ("thread", "sharded", 4),
             ("process", "sharded", 4),
         ],
-        ids=["serial", "legacy-shard", "sharded-process"],
+        ids=["serial", "sharded-thread", "sharded-process"],
     )
     def test_shard_matches_weighted_range_distribution(
         self, backend, placement, shards
     ):
         # §4.1: the multinomial split preserves the weighted interval
-        # distribution exactly, so serial, the legacy shard backend, and
-        # the composed shard-per-process backend must all fit it.
+        # distribution exactly, so serial and the sharded placement on
+        # threads or on worker processes must all fit it.
         n = 40
         keys = [float(i) for i in range(n)]
         weights = [1.0 + (i % 5) for i in range(n)]
@@ -153,7 +153,7 @@ class TestShardApplicability:
     @pytest.mark.parametrize("spec", ["alias", "tree.topdown", "setunion"])
     def test_non_range_specs_reject_shard_backend(self, spec):
         sampler, template = demo_build(spec)
-        engine = SamplingEngine(backend="shard", seed=1, shards=2)
+        engine = SamplingEngine(placement="sharded", backend="thread", seed=1, shards=2)
         with pytest.raises(TypeError, match="key-space sharding"):
             engine.run(
                 sampler,
@@ -165,7 +165,7 @@ class TestShardApplicability:
     )
     def test_range_specs_accept_shard_backend(self, spec):
         sampler, template = demo_build(spec)
-        engine = SamplingEngine(backend="shard", seed=9, shards=4)
+        engine = SamplingEngine(placement="sharded", backend="thread", seed=9, shards=4)
         results = engine.run(
             sampler,
             [QueryRequest(op=template.op, args=template.args, s=6)] * 8,
@@ -185,9 +185,11 @@ class TestComposedPlacementTier:
     def test_every_execution_matches_the_legacy_shard_stream(self, spec):
         requests = demo_requests(spec, count=8, s=6)
         sampler, _ = demo_build(spec)
-        legacy = SamplingEngine(backend="shard", seed=ENGINE_SEED, shards=4).run(
-            sampler, requests
-        )
+        # The stream the retired "shard" backend string produced:
+        # sharded × thread at the default pool width.
+        legacy = SamplingEngine(
+            placement="sharded", backend="thread", seed=ENGINE_SEED, shards=4
+        ).run(sampler, requests)
         assert all(r.ok for r in legacy)
         reference = [r.values for r in legacy]
         for execution in ("serial", "thread", "process"):
@@ -270,7 +272,7 @@ class TestComposedCrashIsolation:
         keys = [float(i) for i in range(n)]
         # Shard 0 owns keys 0..59, which include the poisoned keys below
         # FaultyRangeSampler.DIE_BELOW; its resident worker dies on first
-        # touch. Shards 1..3 have their own pools (max_workers=4), so
+        # touch. Shards 1..3 have their own processes (max_workers=4), so
         # requests confined to [80, 230] never see the crash.
         sampler = FaultyRangeSampler(keys, rng=1)
         safe = QueryRequest(op="sample", args=(80.0, 230.0), s=16)

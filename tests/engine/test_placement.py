@@ -2,19 +2,21 @@
 
 The contracts under test (repro.engine.placement):
 
-* ``normalize_backend`` maps every legacy backend string onto the
-  placement × execution matrix (``"shard"`` aliases sharded+thread) and
-  rejects nonsense with did-you-mean hints;
+* ``normalize_backend`` maps every backend string onto the
+  placement × execution matrix and rejects nonsense (the retired
+  ``"shard"`` alias included) with did-you-mean hints;
 * the §4.1 primitives are pure functions of the request's stateless
   base: the split runs on ``derive_seed(base, 0)``, shard ``j`` draws on
   ``derive_seed(base, 1 + j)``, and a single-active-shard plan consumes
   no split stream at all;
 * ``merge_indices`` is a deterministic shard-order merge that dispatches
   through the scalar → numpy → jit kernel ladder;
-* the legacy ``"shard"`` backend and every composed
-  ``placement="sharded"`` execution produce byte-identical engine
-  output.
+* every ``placement="sharded"`` execution produces byte-identical
+  engine output.
 """
+
+import gc
+import weakref
 
 import pytest
 
@@ -61,7 +63,6 @@ class TestNormalizeBackend:
             ("serial", ("local", "serial")),
             ("thread", ("local", "thread")),
             ("process", ("local", "process")),
-            ("shard", ("sharded", "thread")),
         ],
     )
     def test_legacy_strings_map_onto_the_matrix(self, backend, expected):
@@ -74,12 +75,10 @@ class TestNormalizeBackend:
     ):
         assert normalize_backend(execution, placement) == (placement, execution)
 
-    def test_shard_alias_accepts_its_own_placement(self):
-        assert normalize_backend("shard", "sharded") == ("sharded", "thread")
-
-    def test_shard_alias_rejects_local_placement(self):
-        with pytest.raises(ValueError, match="legacy alias"):
-            normalize_backend("shard", "local")
+    @pytest.mark.parametrize("placement", [None, "local", "sharded"])
+    def test_retired_shard_alias_is_rejected(self, placement):
+        with pytest.raises(ValueError, match="unknown"):
+            normalize_backend("shard", placement)
 
     def test_unknown_backend_offers_suggestions(self):
         with pytest.raises(ValueError, match="did you mean.*'serial'"):
@@ -95,7 +94,7 @@ class TestNormalizeBackend:
 
     def test_matrix_constants_exported(self):
         assert PLACEMENTS == ("local", "sharded")
-        assert BACKENDS == ("serial", "thread", "process", "shard")
+        assert BACKENDS == ("serial", "thread", "process")
 
     def test_make_placement_kinds(self):
         assert isinstance(make_placement("local"), LocalPlacement)
@@ -198,7 +197,7 @@ class TestMergeIndices:
 
 class TestEngineComposition:
     def test_engine_exposes_placement_and_execution(self):
-        engine = SamplingEngine(backend="shard", seed=1)
+        engine = SamplingEngine(placement="sharded", backend="thread", seed=1)
         assert (engine.placement, engine.execution) == ("sharded", "thread")
         composed = SamplingEngine(
             placement="sharded", backend="serial", seed=1
@@ -207,21 +206,33 @@ class TestEngineComposition:
         local = SamplingEngine(backend="thread", seed=1)
         assert (local.placement, local.execution) == ("local", "thread")
 
-    def test_legacy_shard_alias_is_byte_identical(self):
+    def test_sharded_thread_matches_sharded_serial(self):
         requests = make_requests()
-        legacy = SamplingEngine(backend="shard", seed=11, shards=4).run(
-            make_sampler(), requests
-        )
-        composed = SamplingEngine(
-            placement="sharded", backend="thread", seed=11, shards=4
+        threaded = SamplingEngine(
+            placement="sharded", backend="thread", seed=11, shards=4, max_workers=4
         ).run(make_sampler(), requests)
         inline = SamplingEngine(
             placement="sharded", backend="serial", seed=11, shards=4
         ).run(make_sampler(), requests)
-        assert all(r.ok for r in legacy)
-        values = [r.values for r in legacy]
-        assert [r.values for r in composed] == values
-        assert [r.values for r in inline] == values
+        assert all(r.ok for r in threaded)
+        assert [r.values for r in inline] == [r.values for r in threaded]
+
+    def test_dropped_engine_is_freed_without_a_collection(self):
+        # Views and runners refer to nothing that owns them, so an engine
+        # that was never closed is freed as soon as its last user drops it.
+        for execution in ("serial", "thread", "process"):
+            engine = SamplingEngine(
+                placement="sharded", backend=execution, seed=1, shards=4,
+                max_workers=2,
+            )
+            assert all(r.ok for r in engine.run(make_sampler(), make_requests()))
+            dropped = weakref.ref(engine)
+            gc.disable()
+            try:
+                del engine
+                assert dropped() is None, execution
+            finally:
+                gc.enable()
 
     def test_local_process_still_requires_tokens(self):
         engine = SamplingEngine(backend="process", seed=1)

@@ -57,7 +57,10 @@ class TestOneCoverComputationPerRequest:
 
     def test_legacy_shard_backend_reuses_plans_too(self, shards, metrics_on):
         sampler, template = demo_build("range.treewalk", n=N)
-        with SamplingEngine(backend="shard", seed=13, shards=shards) as engine:
+        # What the retired "shard" backend string meant: sharded × thread.
+        with SamplingEngine(
+            placement="sharded", backend="thread", seed=13, shards=shards
+        ) as engine:
             results = engine.run(sampler, _requests(template, 4, 3))
         assert all(r.ok for r in results)
         assert obs.value("engine.plan_builds") == 1

@@ -4,12 +4,16 @@ The fault-injected sampler lives in :mod:`tests.engine.faulty` so the
 worker processes can import it through a ``("call", ...)`` build token.
 """
 
+import multiprocessing
+import os
+import signal
 import threading
 
 import pytest
 
 from repro.engine import QueryRequest, SamplingEngine, spec_token
 from repro.errors import WorkerCrashedError
+from tests.engine.faulty import DIE_ONCE
 
 FAULTY = ("call", "tests.engine.faulty:build_faulty", ())
 
@@ -100,6 +104,26 @@ class TestFaultInjection:
             again = engine.run_token(FAULTY, [req("ok") for _ in range(4)])
             assert all(r.ok for r in again)
 
+    def test_worker_dying_once_succeeds_on_the_retry(
+        self, metrics_on, monkeypatch, tmp_path
+    ):
+        # The chunk [ok, die] loses its worker; each of its requests then
+        # runs alone on a fresh worker, where "die" finds the marker and
+        # draws like "ok".
+        marker = tmp_path / "died"
+        monkeypatch.setenv(DIE_ONCE, str(marker))
+        with SamplingEngine(backend="process", seed=1, max_workers=2) as engine:
+            results = engine.run_token(
+                FAULTY, [req("ok"), req("die"), req("ok"), req("ok")]
+            )
+            draws = metrics_on.value("faulty.draws")
+            clean = engine.run_token(FAULTY, [req("ok") for _ in range(4)])
+        assert marker.exists()
+        assert [r.error for r in results] == [None] * 4
+        assert [r.values for r in results] == [r.values for r in clean]
+        # The dead worker's counts died with it: one per request.
+        assert draws == 4
+
     def test_worker_death_raise_mode(self):
         with SamplingEngine(
             backend="process", seed=1, max_workers=2, errors="raise"
@@ -114,6 +138,36 @@ class TestFaultInjection:
 
 
 class TestLifecycle:
+    def test_worker_killed_while_idle_is_replaced(self, metrics_on):
+        params = {"keys": KEYS, "rng": 1}
+        _, serial = SamplingEngine(backend="serial", seed=7).run_spec(
+            "range.chunked", params, range_requests()
+        )
+        token = spec_token("range.chunked", params)
+        with SamplingEngine(backend="process", seed=7, max_workers=2) as engine:
+            engine.run_token(token, range_requests())
+            victim, survivor = [r.process for r in engine._workers._residents]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join()
+            replies = metrics_on.value("engine.harvested_chunks")
+            results = engine.run_token(token, range_requests())
+            replies = metrics_on.value("engine.harvested_chunks") - replies
+            replacement, kept = [r.process for r in engine._workers._residents]
+        # Replaced before the send: one reply per chunk, no retries.
+        assert replies == 2
+        assert [r.error for r in results] == [None] * len(results)
+        assert [r.values for r in results] == [r.values for r in serial]
+        assert replacement.pid != victim.pid
+        assert kept is survivor
+
+    def test_close_leaves_no_worker_processes(self):
+        before = {p.pid for p in multiprocessing.active_children()}
+        engine = SamplingEngine(backend="process", seed=1, max_workers=2)
+        assert all(r.ok for r in engine.run_token(FAULTY, [req("ok")] * 4))
+        assert {p.pid for p in multiprocessing.active_children()} - before
+        engine.close()
+        assert {p.pid for p in multiprocessing.active_children()} <= before
+
     def test_close_is_idempotent(self):
         engine = SamplingEngine(backend="process", seed=1, max_workers=1)
         engine.run_token(FAULTY, [req("ok")])

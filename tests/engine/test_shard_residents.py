@@ -1,23 +1,27 @@
 """Shard residents of the composed ``sharded × process`` backend.
 
-Each resident is one plain worker process reached over one duplex pipe
-(:class:`repro.engine.execution.ProcessShardRunner`). These tests pin
-its lifecycle:
+Each resident is one of the engine's worker processes, reached over one
+duplex pipe (:class:`repro.engine.execution.Residents`, fed by
+``ProcessShardRunner``). These tests pin its lifecycle:
 
 * under ``mp_context="spawn"`` the merged streams are byte-identical to
   ``sharded × serial``, for list-sized and array-sized partials;
-* ``close()`` joins every resident and then unlinks every shm segment;
+* ``close()`` joins every resident and then unlinks every shm segment,
+  and frees the view at once;
 * a resident killed while idle is replaced before the next send, so the
   next request runs as if nothing happened;
 * a failure while replies are still owed leaves no stale reply for the
   next request to read;
-* a resident that dies mid-draw fails only the requests touching its
+* a resident that dies mid-draw is replaced and the draw runs again;
+  one that dies on the retry too fails only the requests touching its
   shard, and the next run succeeds on a fresh resident.
 """
 
+import gc
 import multiprocessing
 import os
 import signal
+import weakref
 from multiprocessing.shared_memory import SharedMemory
 
 import pytest
@@ -25,7 +29,7 @@ import pytest
 from repro.engine import QueryRequest, SamplingEngine, demo_build, shm
 from repro.engine.execution import ProcessShardRunner, _Resident
 from repro.errors import WorkerCrashedError
-from tests.engine.faulty import FaultyRangeSampler
+from tests.engine.faulty import DIE_ONCE, FaultyRangeSampler
 
 SEED = 11
 
@@ -37,8 +41,7 @@ def _requests(template, sizes):
 
 
 def _runner(engine):
-    (_, view), = engine._placement._views.values()
-    return view._runner
+    return engine._workers
 
 
 def _processes(engine):
@@ -104,6 +107,24 @@ def test_close_joins_residents_before_unlinking_segments(monkeypatch):
             SharedMemory(name=name)
 
 
+def test_close_frees_the_view_without_a_collection():
+    # Nothing the view holds refers back to it, so close() frees the view
+    # and its shards at once rather than at the next garbage collection.
+    sampler, template = demo_build("range.chunked")
+    engine = SamplingEngine(
+        placement="sharded", backend="process", seed=SEED, shards=2, max_workers=2
+    )
+    assert all(r.ok for r in engine.run(sampler, _requests(template, SIZES)))
+    (_, view), = engine._placement._views.values()
+    view = weakref.ref(view)
+    gc.disable()
+    try:
+        engine.close()
+        assert view() is None
+    finally:
+        gc.enable()
+
+
 def test_resident_killed_while_idle_is_replaced_transparently():
     sampler, template = demo_build("range.chunked")
     requests = _requests(template, SIZES)
@@ -161,7 +182,7 @@ def _fail_on_call(monkeypatch, owner, name, nth):
 @pytest.mark.parametrize(
     "owner, name, nth",
     [
-        # shard 1's export fails after shard 0's draw went out
+        # shard 1's export fails after shard 0's was exported
         (ProcessShardRunner, "_key_for", 2),
         # both shards' replies are still owed
         (_Resident, "receive", 1),
@@ -218,3 +239,24 @@ def test_resident_dying_mid_draw_fails_only_its_shard_requests():
         x, y = request.args
         assert len(result.values) == request.s
         assert all(x <= value <= y for value in result.values)
+
+
+def test_resident_dying_once_succeeds_on_the_retry(monkeypatch, tmp_path):
+    # The poisoned request's shard-0 draw kills its resident once; the
+    # draw then runs again on a fresh resident, which finds the marker.
+    marker = tmp_path / "died"
+    monkeypatch.setenv(DIE_ONCE, str(marker))
+    sampler = FaultyRangeSampler([float(i) for i in range(120)], rng=1)
+    requests = [
+        QueryRequest(op="sample", args=(70.0, 110.0), s=16),
+        QueryRequest(op="sample", args=(0.0, 110.0), s=32),
+        QueryRequest(op="sample", args=(20.0, 50.0), s=16),
+    ]
+    with SamplingEngine(
+        placement="sharded", backend="process", seed=SEED, shards=2, max_workers=2
+    ) as engine:
+        results = engine.run(sampler, requests)
+    # Only now may the parent draw over the poisoned keys itself.
+    assert marker.exists()
+    assert [r.error for r in results] == [None] * 3
+    assert [r.values for r in results] == _serial_values(sampler, requests, shards=2)

@@ -1,13 +1,17 @@
-"""The engine-owned thread pool of the local × thread backend.
+"""The engine-owned thread pool of the thread backend.
 
-The pool starts with the first batch that needs it, serves every later
+Local requests and the sharded placement's shard draws run on the same
+pool. It starts with the first batch that needs it, serves every later
 ``run`` on the same threads, and is joined by ``close()``; a ``run``
-after ``close()`` starts a fresh pool and gives the same results.
+after ``close()`` starts a fresh pool and gives the same results. The
+reuse and close tests run under both placements.
 """
 
 import sys
 import threading
 import time
+
+import pytest
 
 from repro.engine import QueryRequest, SamplingEngine, build, executor
 
@@ -27,6 +31,15 @@ def make_sampler(seen=None):
     return sampler
 
 
+#: Engine options of the two placements; the sharded view splits every
+#: request below over several shards, so its draws fan out on the pool.
+PLACEMENTS = [{}, {"placement": "sharded", "shards": 4}]
+
+
+def make_engine(placement, backend="thread"):
+    return SamplingEngine(backend, seed=3, max_workers=2, **placement)
+
+
 def make_requests(count=16, s=64):
     return [
         QueryRequest("sample", (float(i), float(i + 300)), s) for i in range(count)
@@ -43,50 +56,57 @@ def started_since(baseline):
 
 
 def test_threads_are_reused_across_runs():
-    seen = set()
-    sampler = make_sampler(seen)
-    with SamplingEngine("thread", seed=3, max_workers=2) as engine:
-        engine.run(sampler, make_requests())
-        alive = set(threading.enumerate())
-        first = set(seen)
-        assert first and threading.main_thread() not in first
-        for _ in range(4):
+    for placement in PLACEMENTS:
+        seen = set()
+        sampler = make_sampler(seen)
+        baseline = set(threading.enumerate())
+        with make_engine(placement) as engine:
             engine.run(sampler, make_requests())
-            assert not started_since(alive)
-        assert seen <= alive
-        assert first <= seen
+            alive = set(threading.enumerate())
+            assert started_since(baseline), placement
+            first = set(seen)
+            if not placement:  # the sharded view draws from its own shards
+                assert first and threading.main_thread() not in first
+            for _ in range(4):
+                engine.run(sampler, make_requests())
+                assert not started_since(alive), placement
+            assert seen <= alive
+            assert first <= seen
 
 
 def test_close_joins_the_pool_threads():
-    baseline = set(threading.enumerate())
-    engine = SamplingEngine("thread", seed=3, max_workers=2)
-    engine.run(make_sampler(), make_requests())
-    assert started_since(baseline)
-    engine.close()
-    assert not started_since(baseline)
+    for placement in PLACEMENTS:
+        baseline = set(threading.enumerate())
+        engine = make_engine(placement)
+        engine.run(make_sampler(), make_requests())
+        assert started_since(baseline), placement
+        engine.close()
+        assert not started_since(baseline), placement
 
 
 def test_close_twice_is_harmless():
-    baseline = set(threading.enumerate())
-    engine = SamplingEngine("thread", seed=3, max_workers=2)
-    engine.run(make_sampler(), make_requests())
-    engine.close()
-    engine.close()
-    assert not started_since(baseline)
+    for placement in PLACEMENTS:
+        baseline = set(threading.enumerate())
+        engine = make_engine(placement)
+        engine.run(make_sampler(), make_requests())
+        engine.close()
+        engine.close()
+        assert not started_since(baseline), placement
 
 
 def test_run_after_close_restarts_the_pool_byte_identically():
-    sampler = make_sampler()
-    baseline = set(threading.enumerate())
-    engine = SamplingEngine("thread", seed=3, max_workers=2)
-    before = values(engine.run(sampler, make_requests()))
-    engine.close()
-    after = values(engine.run(sampler, make_requests()))
-    assert started_since(baseline)  # a fresh pool serves the second run
-    engine.close()
-    assert after == before
-    serial = SamplingEngine("serial", seed=3).run(sampler, make_requests())
-    assert values(serial) == before
+    for placement in PLACEMENTS:
+        sampler = make_sampler()
+        baseline = set(threading.enumerate())
+        engine = make_engine(placement)
+        before = values(engine.run(sampler, make_requests()))
+        engine.close()
+        after = values(engine.run(sampler, make_requests()))
+        assert started_since(baseline), placement  # a fresh pool serves it
+        engine.close()
+        assert after == before
+        serial = make_engine(placement, "serial").run(sampler, make_requests())
+        assert values(serial) == before
 
 
 def test_concurrent_first_runs_share_one_pool(monkeypatch):
@@ -130,9 +150,29 @@ def test_concurrent_first_runs_share_one_pool(monkeypatch):
     assert not started_since(baseline)
 
 
+def test_collecting_an_unclosed_engine_joins_no_threads():
+    # Garbage collection can run an engine's __del__ inside another
+    # thread's start-up, which holds threading's shutdown-locks lock;
+    # joining a pool thread there waits on that lock forever.
+    lock = getattr(threading, "_shutdown_locks_lock", None)
+    if lock is None:
+        pytest.skip("this interpreter's threading has no shutdown-locks lock")
+    for placement in PLACEMENTS:
+        engine = make_engine(placement)
+        engine.run(make_sampler(), make_requests())
+        collector = threading.Thread(target=engine.__del__, daemon=True)
+        with lock:
+            collector.start()
+            collector.join(timeout=5)
+            finished = not collector.is_alive()
+        collector.join()
+        assert finished, placement
+
+
 def test_context_manager_leaks_no_threads():
-    baseline = set(threading.enumerate())
-    with SamplingEngine("thread", seed=3, max_workers=2) as engine:
-        engine.run(make_sampler(), make_requests())
-        engine.run(make_sampler(), make_requests())
-    assert not started_since(baseline)
+    for placement in PLACEMENTS:
+        baseline = set(threading.enumerate())
+        with make_engine(placement) as engine:
+            engine.run(make_sampler(), make_requests())
+            engine.run(make_sampler(), make_requests())
+        assert not started_since(baseline), placement
