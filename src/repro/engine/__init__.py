@@ -22,16 +22,17 @@ them all:
 * :class:`~repro.engine.executor.SamplingEngine` — batched executor with
   per-request independent RNG streams (seed-spawning via
   :func:`repro.substrates.rng.derive_seed`) and two composable layers:
-  a placement (:mod:`repro.engine.placement` — ``local`` or the §4.1
-  ``sharded`` key-space split) over an execution backend (serial /
-  thread / process, :mod:`repro.engine.execution`). The local process
-  backend ships picklable ``(spec, params)`` build tokens to the
-  engine's resident worker processes (:mod:`repro.engine.worker`); the
-  sharded placement partitions a range structure's key space and splits
-  each request's budget multinomially
-  (:class:`~repro.engine.shard.ShardedSampler`, re-exported lazily
-  here), and composed with the process backend keeps one shard resident
-  per worker.
+  a placement (``local`` or the §4.1 ``sharded`` key-space split, whose
+  pure primitives live in :mod:`repro.engine.placement`) over an
+  execution backend (serial / thread / process,
+  :mod:`repro.engine.execution`). The local process backend ships
+  picklable ``(spec, params)`` build tokens to the engine's resident
+  worker processes, which answer every message through
+  :func:`repro.engine.worker.execute`. Under the sharded placement the
+  engine keeps one :class:`~repro.engine.shard.ShardedSampler` view
+  (re-exported lazily here) per sampler, splitting each request's
+  budget multinomially over key-space shards; composed with the process
+  backend it keeps one shard resident per worker.
 
 Quickstart::
 
@@ -49,8 +50,8 @@ table.
 """
 
 from repro.engine.demo import demo_build
-from repro.engine.executor import BACKENDS, PLACEMENTS, SamplingEngine, spec_token
-from repro.engine.placement import normalize_backend
+from repro.engine.executor import SamplingEngine, spec_token
+from repro.engine.placement import BACKENDS, PLACEMENTS, normalize_backend
 from repro.engine.protocol import (
     EngineOp,
     EngineSampler,

@@ -20,7 +20,10 @@ where work executes:
 
 Because every task already carries its stateless seed, all runners
 produce byte-identical partials; the runner choice changes only where
-the CPU time is spent.
+the CPU time is spent. The engine owns its runners through its sharded
+views, so a runner refers to the engine weakly: a dropped engine that
+was never closed is then freed (and its workers stopped) at once, not
+at the next garbage collection.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import pickle
 import threading
 import weakref
 from multiprocessing.connection import wait
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.engine.protocol import PlacementPlan
@@ -40,7 +43,6 @@ __all__ = [
     "ProcessShardRunner",
     "Residents",
     "SerialShardRunner",
-    "ShardRunner",
     "ThreadShardRunner",
     "make_shard_runner",
 ]
@@ -71,50 +73,30 @@ Partials = List[Tuple[int, Sequence[int]]]
 Task = Tuple[int, bytes, str, List[Any]]
 
 
-class ShardRunner:
-    """Executes a :class:`PlacementPlan`'s tasks against a sharded view.
-
-    The engine owns its runners through its placement's views, so a
-    runner refers to the engine weakly: a dropped engine that was never
-    closed is then freed (and its workers stopped) at once, not at the
-    next garbage collection.
-    """
-
-    name: str = "?"
-
-    def run_plan(self, sharded: Any, plan: PlacementPlan) -> Partials:
-        """``(shard, local_indices)`` partials for every task in the plan."""
-        raise NotImplementedError
-
-
 def _run_inline(sharded: Any, plan: PlacementPlan) -> Partials:
     from repro.engine.shard import run_shard_task
 
-    plans = plan.plans or (None,) * len(plan.tasks)
     return [
         run_shard_task(sharded.shards, task, sub)
-        for task, sub in zip(plan.tasks, plans)
+        for task, sub in zip(plan.tasks, plan.plans)
     ]
 
 
-class SerialShardRunner(ShardRunner):
+class SerialShardRunner:
     """Run every shard task inline, in plan order."""
 
-    name = "serial"
-
     def run_plan(self, sharded: Any, plan: PlacementPlan) -> Partials:
+        """``(shard, local_indices)`` partials for every task in the plan."""
         return _run_inline(sharded, plan)
 
 
-class ThreadShardRunner(ShardRunner):
+class ThreadShardRunner:
     """Fan shard tasks out over the engine's thread pool.
 
     The pool is the one local × thread runs on
     (:meth:`SamplingEngine._ensure_threads`); a single task, or an engine
     with one worker, runs inline.
     """
-
-    name = "thread"
 
     def __init__(self, engine: Any):
         self._engine = weakref.proxy(engine)
@@ -124,11 +106,10 @@ class ThreadShardRunner(ShardRunner):
             return _run_inline(sharded, plan)
         from repro.engine.shard import run_shard_task
 
-        plans = plan.plans or (None,) * len(plan.tasks)
         return list(
             self._engine._ensure_threads().map(
                 lambda pair: run_shard_task(sharded.shards, *pair),
-                zip(plan.tasks, plans),
+                zip(plan.tasks, plan.plans),
             )
         )
 
@@ -320,7 +301,7 @@ def _merge_envelope(rebuilds: int, delta: Optional[dict]) -> None:
         obs.merge(delta)
 
 
-class ProcessShardRunner(ShardRunner):
+class ProcessShardRunner:
     """Shard tasks on the engine's worker processes (:class:`Residents`).
 
     Shard ``j`` always goes to slot ``j % min(K, max_workers)``, so each
@@ -332,8 +313,6 @@ class ProcessShardRunner(ShardRunner):
     fails the request with a :class:`~repro.errors.WorkerCrashedError`
     naming the shard.
     """
-
-    name = "process"
 
     def __init__(self, engine: Any, sharded: Any):
         self._engine = weakref.proxy(engine)
@@ -365,9 +344,8 @@ class ProcessShardRunner(ShardRunner):
 
     def run_plan(self, sharded: Any, plan: PlacementPlan) -> Partials:
         trace = obs.current_trace() if obs.ENABLED else None
-        plans = plan.plans or (None,) * len(plan.tasks)
         tasks: List[Task] = []
-        for task, sub in zip(plan.tasks, plans):
+        for task, sub in zip(plan.tasks, plan.plans):
             # Ship the parent's shard-local plan as portable data (kind,
             # key, cover hint) — O(log n) ints — so the worker skips the
             # cover search and executes the very same plan.
@@ -403,7 +381,9 @@ class ProcessShardRunner(ShardRunner):
         return partials
 
 
-def make_shard_runner(engine: Any, sharded: Any) -> ShardRunner:
+def make_shard_runner(
+    engine: Any, sharded: Any
+) -> Union[SerialShardRunner, ThreadShardRunner, ProcessShardRunner]:
     """The runner matching ``engine.execution`` for a sharded view."""
     if engine.execution == "serial":
         return SerialShardRunner()

@@ -61,11 +61,11 @@ from time import perf_counter
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.engine.execution import Residents
+from repro.engine.execution import Residents, make_shard_runner
 from repro.engine.placement import (
+    BACKENDS,
     DEFAULT_SHARDS,
     PLACEMENTS,
-    make_placement,
     normalize_backend,
 )
 from repro.engine.protocol import QueryRequest, QueryResult, Sampler
@@ -74,9 +74,6 @@ from repro.errors import WorkerCrashedError
 from repro.substrates.rng import DEFAULT_SEED, derive_seed, ensure_rng
 
 __all__ = ["BACKENDS", "PLACEMENTS", "SamplingEngine", "spec_token"]
-
-#: Execution backends, each valid under every placement.
-BACKENDS = ("serial", "thread", "process")
 
 _BATCHES = obs.counter("engine.batches", "SamplingEngine.run invocations")
 _REQUESTS = obs.counter("engine.requests", "Requests executed by the engine")
@@ -121,7 +118,8 @@ class SamplingEngine:
         under it keeps one shard resident per worker process.
     max_workers:
         Width of the engine's thread pool and its number of worker
-        processes; defaults to ``min(8, cpu_count)``.
+        processes: an int ``>= 1`` (else ``ValueError``); defaults to
+        ``min(8, cpu_count)``.
     seed:
         Engine master seed for per-request stream spawning. ``None``
         keeps the default policy seed (:data:`repro.substrates.rng.DEFAULT_SEED`);
@@ -156,16 +154,17 @@ class SamplingEngine:
         self.placement, self.execution = normalize_backend(backend, placement)
         if errors not in ("capture", "raise"):
             raise ValueError(f"errors must be 'capture' or 'raise', got {errors!r}")
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if shards is not None and (
-            not isinstance(shards, int) or isinstance(shards, bool) or shards < 1
-        ):
-            raise ValueError(f"shards must be an int >= 1, got {shards!r}")
+        for name, value in (("max_workers", max_workers), ("shards", shards)):
+            if value is not None and (
+                not isinstance(value, int) or isinstance(value, bool) or value < 1
+            ):
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
         self.backend = backend
         self.max_workers = max_workers or min(8, os.cpu_count() or 1)
         self.shards = shards if shards is not None else DEFAULT_SHARDS
-        self._placement = make_placement(self.placement, self.shards)
+        # Sharded views (see _view): id(sampler) -> (sampler, view); the
+        # strong sampler ref pins the id for the memo's lifetime.
+        self._views: Dict[int, Tuple[Any, Any]] = {}
         if seed is False:
             self._seed: Optional[int] = None
         elif seed is None:
@@ -249,7 +248,7 @@ class SamplingEngine:
         self._close(join_threads=True)
 
     def _close(self, join_threads: bool) -> None:
-        self._placement.close()
+        self._views = {}
         with self._threads_lock:
             threads, self._threads = self._threads, None
         if threads is not None:
@@ -325,22 +324,7 @@ class SamplingEngine:
                 "or run_token(token, requests) — or compose it with "
                 "placement='sharded', which ships shard sub-draws instead"
             )
-        batch = list(requests)
-        enabled = obs.ENABLED
-        if enabled:
-            _BATCHES.inc()
-            _REQUESTS.add(len(batch))
-        seeds = self.seeds_for(batch)
-        self._assign_traces(batch)
-        if enabled:
-            with obs.span(
-                "engine.run",
-                backend=self.backend,
-                requests=len(batch),
-                sampler=type(sampler).__name__,
-            ):
-                return self._dispatch(sampler, batch, seeds)
-        return self._dispatch(sampler, batch, seeds)
+        return self._batch(requests, type(sampler).__name__, self._dispatch, sampler)
 
     def run_spec(
         self, spec: str, params: dict, requests: Iterable[QueryRequest]
@@ -369,7 +353,9 @@ class SamplingEngine:
         """
         if self.placement != "local" or self.execution != "process":
             raise ValueError(
-                f"run_token requires backend='process', not {self.backend!r}"
+                f"run_token requires backend='process' under placement='local'; "
+                f"this engine is placement={self.placement!r}, "
+                f"backend={self.execution!r}"
             )
         try:
             key = pickle.dumps(token)
@@ -378,24 +364,8 @@ class SamplingEngine:
                 f"process-backend build token must be picklable "
                 f"(rng must be an int seed, params plain data): {exc}"
             ) from exc
-        batch = list(requests)
-        enabled = obs.ENABLED
-        if enabled:
-            _BATCHES.inc()
-            _REQUESTS.add(len(batch))
-        seeds = self.seeds_for(batch)
-        self._assign_traces(batch)
-        jobs = list(zip(batch, seeds))
         spec = str(token[1]) if len(token) > 1 else "?"
-        if enabled:
-            with obs.span(
-                "engine.run",
-                backend=self.backend,
-                requests=len(batch),
-                sampler=spec,
-            ):
-                return self._dispatch_process(key, jobs, spec)
-        return self._dispatch_process(key, jobs, spec)
+        return self._batch(requests, spec, self._dispatch_process, key, spec)
 
     def explain(
         self, sampler: Sampler, request: QueryRequest
@@ -403,7 +373,7 @@ class SamplingEngine:
         """Plan ``request`` without executing any draws.
 
         Runs the planning half of the plan → execute split against the
-        placement's view of ``sampler`` (so under the sharded placement
+        engine's view of ``sampler`` (so under the sharded placement
         the result describes the fan-out plan, sub-plans included) and
         reports it as plain data: the plan's cover spans and weights,
         whether it came out of the plan store (``"cached"``) or was
@@ -417,7 +387,7 @@ class SamplingEngine:
         surface and :class:`NotImplementedError` for range samplers
         that opt out of the plan layer.
         """
-        view = self._placement.view(sampler, self)
+        view = self._view(sampler)
         planner = getattr(view, "plan_request", None)
         if planner is None:
             raise TypeError(
@@ -458,18 +428,63 @@ class SamplingEngine:
 
     # ------------------------------------------------------------------
 
+    def _batch(
+        self, requests: Iterable[QueryRequest], label: str, dispatch: Any, *args: Any
+    ) -> List[QueryResult]:
+        """The prologue every batch shares: list the requests, assign
+        their seeds and trace IDs, count the batch, and run
+        ``dispatch(*args, batch, seeds)`` inside the ``engine.run`` span
+        (``label`` names the sampler on it)."""
+        batch = list(requests)
+        enabled = obs.ENABLED
+        if enabled:
+            _BATCHES.inc()
+            _REQUESTS.add(len(batch))
+        seeds = self.seeds_for(batch)
+        self._assign_traces(batch)
+        if enabled:
+            with obs.span(
+                "engine.run",
+                backend=self.backend,
+                requests=len(batch),
+                sampler=label,
+            ):
+                return dispatch(*args, batch, seeds)
+        return dispatch(*args, batch, seeds)
+
+    def _view(self, sampler: Sampler) -> Any:
+        """What requests on ``sampler`` execute against: the sampler
+        itself under the local placement; under the sharded placement a
+        caller's own :class:`~repro.engine.shard.ShardedSampler` as
+        given, else this engine's view of it, bound to the runner for
+        its execution backend. Views are memoized on the engine, not the
+        sampler, so a sampler shared across engines never runs on
+        another engine's workers, and :meth:`close` drops every view
+        with the shared-memory tokens its runner exported."""
+        if self.placement == "local":
+            return sampler
+        memo = self._views.get(id(sampler))
+        if memo is not None:
+            return memo[1]
+        from repro.engine.shard import ShardedSampler
+
+        if isinstance(sampler, ShardedSampler):
+            return sampler
+        view = ShardedSampler.from_sampler(sampler, self.shards)
+        view.bind_runner(make_shard_runner(self, view))
+        self._views[id(sampler)] = (sampler, view)
+        return view
+
     def _dispatch(
         self,
         sampler: Sampler,
         batch: List[QueryRequest],
         seeds: List[Optional[int]],
     ) -> List[QueryResult]:
-        # The placement decides what the requests execute against (the
-        # sampler itself, or an engine-owned sharded view with an
-        # execution runner bound); under the sharded placement requests
-        # run in submission order and the parallelism lives *inside*
-        # each request's shard fan-out.
-        sampler = self._placement.view(sampler, self)
+        # Under the sharded placement requests run in submission order
+        # and the parallelism lives *inside* each request's shard fan-out.
+        view = self._view(sampler)
+        spec = getattr(view, "engine_spec", None) or type(view).__name__
         jobs = list(zip(batch, seeds))
         if (
             self.placement == "local"
@@ -479,10 +494,10 @@ class SamplingEngine:
         ):
             return list(
                 self._ensure_threads().map(
-                    lambda job: self._execute_one(sampler, *job), jobs
+                    lambda job: self._execute_one(view, spec, *job), jobs
                 )
             )
-        return [self._execute_one(sampler, request, seed) for request, seed in jobs]
+        return [self._execute_one(view, spec, request, seed) for request, seed in jobs]
 
     def _ensure_threads(self) -> ThreadPoolExecutor:
         """The engine's thread pool (local requests, sharded fan-out),
@@ -494,10 +509,9 @@ class SamplingEngine:
             return self._threads
 
     def _execute_one(
-        self, sampler: Sampler, request: QueryRequest, seed: Optional[int]
+        self, sampler: Sampler, spec: str, request: QueryRequest, seed: Optional[int]
     ) -> QueryResult:
         enabled = obs.ENABLED
-        spec = getattr(sampler, "engine_spec", None) or type(sampler).__name__
         trace_token = obs.set_current_trace(request.trace_id) if enabled else None
         try:
             started = perf_counter() if enabled else 0.0
@@ -517,42 +531,51 @@ class SamplingEngine:
                     trace_id=request.trace_id,
                 )
                 if enabled:
-                    _ERRORS.inc()
                     result.elapsed_s = perf_counter() - started
-            if enabled:
-                self._record_result(result, spec)
-            return result
+            return self._settle(result, spec, recorded=False)
         finally:
             if trace_token is not None:
                 obs.reset_current_trace(trace_token)
 
-    def _record_result(self, result: QueryResult, spec: str) -> None:
-        """Feed one settled request into the latency histogram and the
-        flight recorder; flush matching records onto captured errors."""
-        duration_us = (result.elapsed_s or 0.0) * 1e6
-        if result.ok:
-            _REQUEST_US.observe(duration_us)
-        obs.RECORDER.record(
-            trace=result.trace_id,
-            spec=spec,
-            op=result.request.op,
-            s=result.request.s,
-            backend=self.backend,
-            duration_us=duration_us,
-            error=type(result.error).__name__ if result.error is not None else None,
-        )
-        if result.error is not None:
-            # A captured failure ships its own diagnostic context: every
-            # retained record for this trace (including the one above).
-            _attach_flight(result.error, result.trace_id)
+    def _settle(self, result: QueryResult, spec: str, recorded: bool) -> QueryResult:
+        """Settle one request's result; every placement × execution cell
+        ends here.
+
+        Writes the request's flight record unless a worker already did
+        (``recorded``). A failure is then re-raised under
+        ``errors="raise"``, or else counted and stamped with its trace's
+        flight records; a success feeds ``engine.request_us``.
+        """
+        enabled = obs.ENABLED
+        error = result.error
+        if enabled and not recorded:
+            obs.RECORDER.record(
+                trace=result.trace_id,
+                spec=spec,
+                op=result.request.op,
+                s=result.request.s,
+                backend=self.backend,
+                duration_us=(result.elapsed_s or 0.0) * 1e6,
+                error=type(error).__name__ if error is not None else None,
+            )
+        if error is not None:
+            if self._errors == "raise":
+                raise error
+            if enabled:
+                _ERRORS.inc()
+                _attach_flight(error, result.trace_id)
+        elif enabled:
+            _REQUEST_US.observe((result.elapsed_s or 0.0) * 1e6)
+        return result
 
     # -- process backend -----------------------------------------------
 
     def _dispatch_process(
         self,
         key: bytes,
-        jobs: List[Tuple[QueryRequest, Optional[int]]],
-        spec: str = "?",
+        spec: str,
+        batch: List[QueryRequest],
+        seeds: List[Optional[int]],
     ) -> List[QueryResult]:
         """One order-preserving chunk of jobs per worker process.
 
@@ -560,9 +583,11 @@ class SamplingEngine:
         build the token's sampler once each, merge each chunk's metric
         envelope once, and retry a crashed chunk's requests one at a
         time; a request whose worker dies again gets a
-        :class:`~repro.errors.WorkerCrashedError` envelope here.
+        :class:`~repro.errors.WorkerCrashedError` envelope here. Worker
+        replies carry their own flight records; a crash envelope's is
+        written by :meth:`_settle`, since the worker's died with it.
         """
-        enabled = obs.ENABLED
+        jobs = list(zip(batch, seeds))
         size = max(1, math.ceil(len(jobs) / self.max_workers))
         tasks = [
             (slot, key, "chunk", jobs[start:start + size])
@@ -573,6 +598,7 @@ class SamplingEngine:
         ]
         out: List[QueryResult] = []
         for index, ((request, seed), result) in enumerate(zip(jobs, results)):
+            recorded = result is not None
             if result is None:
                 result = QueryResult(
                     request=request,
@@ -584,26 +610,5 @@ class SamplingEngine:
                         f"(op {request.op!r}), and again on the retry"
                     ),
                 )
-                if enabled:
-                    # The worker's own record died with it — log the crash
-                    # envelope parent-side so the flight recorder still
-                    # explains the failure.
-                    obs.RECORDER.record(
-                        trace=request.trace_id,
-                        spec=spec,
-                        op=request.op,
-                        s=request.s,
-                        backend=self.backend,
-                        duration_us=0.0,
-                        error="WorkerCrashedError",
-                    )
-            if result.error is not None:
-                if self._errors == "raise":
-                    raise result.error
-                if enabled:
-                    _ERRORS.inc()
-                    _attach_flight(result.error, result.trace_id)
-            elif enabled:
-                _REQUEST_US.observe((result.elapsed_s or 0.0) * 1e6)
-            out.append(result)
+            out.append(self._settle(result, spec, recorded))
         return out

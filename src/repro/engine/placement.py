@@ -1,46 +1,41 @@
 """The placement layer: *where a request's draws live* (§4.1, lifted).
 
-The engine used to conflate two orthogonal decisions in one backend
-string: **placement** (does a request run against the whole structure,
-or split multinomially over contiguous key-space shards?) and
-**execution** (do sub-tasks run inline, on threads, or in worker
-processes?). This module owns the first axis:
-
-* :class:`LocalPlacement` — the identity placement: one structure, the
-  execution backend runs whole requests.
-* :class:`ShardedPlacement` — the paper's §4.1 decomposition: the key
-  space is cut into ``K`` contiguous shards, each request's budget ``s``
-  is split multinomially by in-span shard weight, and every shard draws
-  on its own stateless stream. Any execution backend
-  (``serial | thread | process``) can run the per-shard sub-draws —
-  that composition is the shard-per-process backend.
+An engine composes two orthogonal decisions: **placement** (does a
+request run against the whole structure, or split over contiguous
+key-space shards?) and **execution** (do sub-tasks run inline, on
+threads, or in worker processes?); :func:`normalize_backend` resolves
+the pair. The ``local`` placement runs each request against the
+structure as-is. The ``sharded`` placement is the paper's §4.1
+decomposition: the key space is cut into ``K`` contiguous shards, each
+request's budget ``s`` is split multinomially by in-span shard weight,
+and every shard draws on its own stateless stream. The engine keeps one
+:class:`~repro.engine.shard.ShardedSampler` view per sampler it runs,
+and any execution backend can run the per-shard sub-draws — under
+``process`` that is the shard-per-process backend.
 
 The §4.1 primitives (:func:`split_budget`, :func:`shard_seed`,
-:func:`merge_indices`) live here as pure functions, lifted out of
-:class:`~repro.engine.shard.ShardedSampler` so the determinism contract
-— merged output is a pure function of ``(structure, request seed, K)``
-regardless of worker count or scheduling — is enforced at the placement
-layer, once, for every execution backend. ``merge_indices`` dispatches
-through the ``scalar → numpy → jit`` kernel ladder
-(:func:`repro.core.kernels.offset_concat_batch`).
+:func:`plan_fan_out`, :func:`merge_indices`) live here as pure
+functions, so the determinism contract — merged output is a pure
+function of ``(structure, request seed, K)`` regardless of worker count
+or scheduling — is enforced once, for every execution backend.
+``merge_indices`` dispatches through the ``scalar → numpy → jit``
+kernel ladder (:func:`repro.core.kernels.offset_concat_batch`).
 """
 
 from __future__ import annotations
 
 import time
 from difflib import get_close_matches
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.engine.protocol import PlacementPlan, ShardTask
 from repro.substrates.rng import derive_seed, ensure_rng
 
 __all__ = [
+    "BACKENDS",
     "DEFAULT_SHARDS",
     "PLACEMENTS",
-    "LocalPlacement",
-    "Placement",
-    "ShardedPlacement",
     "merge_indices",
     "normalize_backend",
     "plan_fan_out",
@@ -51,8 +46,8 @@ __all__ = [
 #: Supported placements (the first axis of the backend matrix).
 PLACEMENTS = ("local", "sharded")
 
-#: Execution backends runnable under a placement (the second axis).
-EXECUTIONS = ("serial", "thread", "process")
+#: Execution backends, each valid under every placement (the second axis).
+BACKENDS = ("serial", "thread", "process")
 
 #: Default shard count for the sharded placement when none is given.
 DEFAULT_SHARDS = 4
@@ -81,10 +76,10 @@ def normalize_backend(
     composes with each of ``serial | thread | process``.
     """
     if placement is None:
-        if backend not in EXECUTIONS:
+        if backend not in BACKENDS:
             raise ValueError(
-                f"unknown backend {backend!r}{_did_you_mean(backend, EXECUTIONS)}; "
-                f"choose from {EXECUTIONS}"
+                f"unknown backend {backend!r}{_did_you_mean(backend, BACKENDS)}; "
+                f"choose from {BACKENDS}"
             )
         return "local", backend
     if placement not in PLACEMENTS:
@@ -92,10 +87,10 @@ def normalize_backend(
             f"unknown placement {placement!r}{_did_you_mean(placement, PLACEMENTS)}; "
             f"choose from {PLACEMENTS}"
         )
-    if backend not in EXECUTIONS:
+    if backend not in BACKENDS:
         raise ValueError(
             f"unknown execution backend {backend!r} under "
-            f"placement={placement!r}; choose from {EXECUTIONS}"
+            f"placement={placement!r}; choose from {BACKENDS}"
         )
     return placement, backend
 
@@ -140,17 +135,16 @@ def plan_fan_out(
     ``sub_plans`` optionally aligns one shard-local
     :class:`~repro.core.planner.QueryPlan` (or ``None``) with each
     ``active`` row — the parent's plan-once-ship-everywhere payload.
-    Entries for dropped zero-quota shards are dropped with their tasks,
-    keeping ``plan.plans`` aligned with ``plan.tasks``.
+    ``plan.plans`` holds one entry per task (``None`` for a shard with
+    no plan): entries for dropped zero-quota shards go with their tasks.
     """
+    subs = sub_plans if sub_plans is not None else (None,) * len(active)
     if len(active) == 1:
         j, lo, hi, _ = active[0]
         tasks: Tuple[ShardTask, ...] = (
             ShardTask(j, lo, hi, s, shard_seed(base, j)),
         )
-        plans: Tuple[Any, ...] = (
-            (sub_plans[0],) if sub_plans is not None else ()
-        )
+        plans: Tuple[Any, ...] = (subs[0],)
     else:
         counts = split_budget([row[3] for row in active], s, base)
         kept = [
@@ -159,11 +153,7 @@ def plan_fan_out(
             if quota > 0
         ]
         tasks = tuple(task for _, task in kept)
-        plans = (
-            tuple(sub_plans[index] for index, _ in kept)
-            if sub_plans is not None
-            else ()
-        )
+        plans = tuple(subs[index] for index, _ in kept)
     if obs.ENABLED:
         _PLACEMENT_SHARDS.add(len(tasks))
     return PlacementPlan(base=base, tasks=tasks, plans=plans)
@@ -203,75 +193,3 @@ def merge_indices(
     if enabled:
         _MERGE_US.observe((time.perf_counter() - started) * 1e6)
     return merged
-
-
-# ----------------------------------------------------------------------
-# placement objects (engine-owned, deterministic lifecycle)
-# ----------------------------------------------------------------------
-
-
-class Placement:
-    """Where a request's draws run. Owned — and closed — by the engine."""
-
-    name: str = "?"
-
-    def view(self, sampler: Any, engine: Any) -> Any:
-        """The sampler (or a placed view of it) requests execute against."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release every resource this placement created (idempotent)."""
-
-
-class LocalPlacement(Placement):
-    """Identity placement: requests run against the structure as-is."""
-
-    name = "local"
-
-    def view(self, sampler: Any, engine: Any) -> Any:
-        return sampler
-
-
-class ShardedPlacement(Placement):
-    """§4.1 key-space sharding with engine-owned view lifecycle.
-
-    Views (one :class:`~repro.engine.shard.ShardedSampler` per wrapped
-    sampler, bound to the runner for the engine's execution backend) are
-    cached *here*, not on the wrapped sampler instance — so a sampler
-    shared across engines never runs on another engine's threads or
-    processes, and ``engine.close()`` drops every view together with the
-    shared-memory tokens its runner exported.
-    """
-
-    name = "sharded"
-
-    def __init__(self, shards: int = DEFAULT_SHARDS):
-        self.shards = shards
-        # id(sampler) -> (sampler, view); the strong sampler ref pins
-        # the id for the cache's lifetime.
-        self._views: Dict[int, Tuple[Any, Any]] = {}
-
-    def view(self, sampler: Any, engine: Any) -> Any:
-        from repro.engine.execution import make_shard_runner
-        from repro.engine.shard import ShardedSampler
-
-        if isinstance(sampler, ShardedSampler):
-            # Pre-sharded by the caller: respect its geometry and runner.
-            return sampler
-        memo = self._views.get(id(sampler))
-        if memo is not None:
-            return memo[1]
-        view = ShardedSampler.from_sampler(sampler, self.shards)
-        view.bind_runner(make_shard_runner(engine, view))
-        self._views[id(sampler)] = (sampler, view)
-        return view
-
-    def close(self) -> None:
-        self._views = {}
-
-
-def make_placement(placement: str, shards: int = DEFAULT_SHARDS) -> Placement:
-    """Placement instance for a normalized placement name."""
-    if placement == "sharded":
-        return ShardedPlacement(shards)
-    return LocalPlacement()

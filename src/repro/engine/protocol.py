@@ -184,19 +184,19 @@ class PlacementPlan:
     ``(structure, request seed, K)`` no matter which execution backend
     runs the tasks or in which order they finish.
 
-    ``plans`` optionally aligns a per-task shard-local
-    :class:`~repro.core.planner.QueryPlan` (or ``None``) with ``tasks``:
-    the parent plans each shard's cover once and ships it, so executing
-    a task never recomputes the cover — inline and thread runners pass
-    the plan object straight to the shard's ``execute_plan``, the
-    process runner ships its :meth:`~repro.core.planner.QueryPlan.portable`
-    form. Empty means "no shard plans" (non-planful shard structures);
-    execution falls back to the shards' own ``sample_span``.
+    ``plans`` holds one entry per task: the shard-local
+    :class:`~repro.core.planner.QueryPlan` the parent planned once, so
+    executing the task never recomputes the cover — inline and thread
+    runners pass the plan object straight to the shard's
+    ``execute_plan``, the process runner ships its
+    :meth:`~repro.core.planner.QueryPlan.portable` form. ``None`` marks a
+    shard with no plan (a non-planful structure); that task falls back
+    to the shard's own ``sample_span``.
     """
 
     base: int
     tasks: Tuple[ShardTask, ...]
-    plans: Tuple[Any, ...] = ()
+    plans: Tuple[Any, ...]
 
     @property
     def shards(self) -> Tuple[int, ...]:

@@ -30,12 +30,11 @@ Token shapes (first element is the kind):
 :func:`serve` is the main loop of one engine worker process
 (:class:`repro.engine.execution.Residents`). It reads messages from its
 end of a duplex pipe, receives each build token once, and answers every
-message on the same pipe: a chunk of whole requests (local × process)
-with the :func:`execute_chunk` envelope, a shard sub-draw —
-``(shard, lo, hi, quota, seed, trace, portable)``, a few ints — with
-the :func:`execute_shard_chunk` envelope, so sharded per-request bytes
-stay O(log n) end to end. Partials at or above the batch cutoff cross
-the pipe as ``intp`` arrays (lists on the scalar tier).
+message on the same pipe through :func:`execute`: a chunk of whole
+requests (local × process), or a shard sub-draw — ``(shard, lo, hi,
+quota, seed, trace, portable)``, a few ints — so sharded per-request
+bytes stay O(log n) end to end. Partials at or above the batch cutoff
+cross the pipe as ``intp`` arrays (lists on the scalar tier).
 
 Every execution error is captured *in the worker* into the result
 envelope, so one bad request cannot take a worker down; only a worker
@@ -44,14 +43,14 @@ which the parent converts into per-request
 :class:`~repro.errors.WorkerCrashedError` envelopes.
 
 **Metric harvest** (``harvest=True``, set by the parent iff its metrics
-are enabled): the worker enables its own registry, brackets the chunk
+are enabled): the worker enables its own registry, brackets the message
 with a :func:`repro.obs.harvest.baseline` / ``delta_since`` pair, tags
-every execution with the request's trace ID (a ``worker.execute`` span
-plus a flight-recorder entry carrying this PID), and returns the delta
-as the third envelope element. The parent merges it once per envelope
-read off the pipe — a crashed worker returns no envelope, so its
-partial counts die with it and a retried request is never
-double-counted.
+every item with its request's trace ID (a ``worker.execute`` or
+``worker.shard_draw`` span plus a flight-recorder entry carrying this
+PID), and returns the delta as the third envelope element. The parent
+merges it once per envelope read off the pipe — a crashed worker
+returns no envelope, so its partial counts die with it and a retried
+request is never double-counted.
 """
 
 from __future__ import annotations
@@ -66,12 +65,7 @@ from repro.core import kernels
 from repro.engine.protocol import QueryRequest, QueryResult
 from repro.substrates.rng import ensure_rng
 
-__all__ = [
-    "build_from_token",
-    "execute_chunk",
-    "execute_shard_chunk",
-    "serve",
-]
+__all__ = ["build_from_token", "execute", "serve"]
 
 #: Per-worker-process resident samplers, keyed by the pickled token.
 _RESIDENT: Dict[bytes, Any] = {}
@@ -122,164 +116,152 @@ def _picklable_error(exc: Exception) -> Exception:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def execute_chunk(
+def execute(
     key: bytes,
     token: Tuple[Any, ...],
-    jobs: List[Tuple[QueryRequest, Optional[int]]],
+    kind: str,
+    items: List[Any],
     harvest: bool = False,
-) -> Tuple[int, List[QueryResult], Optional[dict]]:
-    """Execute a chunk of ``(request, seed)`` jobs on the resident sampler.
+) -> Tuple[int, List[Any], Optional[dict]]:
+    """Run one message's ``items`` on the resident sampler for ``token``:
+    ``(request, seed)`` jobs for ``kind`` ``"chunk"``
+    (:func:`_run_request`), shard sub-draws for ``"shard"``
+    (:func:`_run_draw`). Every failure, a failed build included, is
+    captured per item, so one bad item cannot poison its batchmates.
 
-    Returns ``(rebuilds, results, delta)`` where ``rebuilds`` is 1 when
-    this call had to (re)build the sampler — the parent feeds it into the
+    Returns ``(rebuilds, outcomes, delta)``: ``rebuilds`` is 1 when this
+    message had to (re)build the sampler — the parent feeds it into the
     ``engine.worker_rebuilds`` counter — and ``delta`` is the harvest
-    payload of everything this chunk recorded in the worker registry
-    (``None`` unless ``harvest``). Results are order-preserving and every
-    failure is captured into the per-request envelope.
+    payload of everything this message recorded in the worker registry
+    (``None`` unless ``harvest``). Outcomes keep the items' order.
     """
     base: Optional[dict] = None
     if harvest:
         from repro.obs import harvest as harvest_mod
 
         # The parent may have enabled metrics after this worker forked
-        # (or was spawned without REPRO_METRICS): the per-chunk flag
+        # (or was spawned without REPRO_METRICS): the per-message flag
         # is authoritative. Enabling is sticky — residency makes this
-        # worker serve many chunks, and re-disabling between chunks
+        # worker serve many messages, and re-disabling between them
         # would only race the next flag.
         obs.enable()
         base = harvest_mod.baseline()
-    rebuilds = 0
-    sampler = _RESIDENT.get(key)
-    results: List[QueryResult] = []
-    for request, seed in jobs:
-        trace_token = (
-            obs.set_current_trace(request.trace_id) if harvest else None
-        )
-        try:
-            if sampler is None:
-                with obs.span("worker.build", kind=str(token[0])):
-                    sampler = build_from_token(token)
-                _RESIDENT[key] = sampler
-                rebuilds = 1
-            with obs.span("worker.execute", op=request.op):
-                result = sampler.execute(
-                    request, rng=None if seed is None else ensure_rng(seed)
-                )
-            result.seed = seed
-        except Exception as exc:
-            result = QueryResult(
-                request=request,
-                values=None,
-                seed=seed,
-                trace_id=request.trace_id,
-                error=_picklable_error(exc),
-            )
-        finally:
-            if trace_token is not None:
-                obs.reset_current_trace(trace_token)
-        if harvest:
-            obs.RECORDER.record(
-                trace=request.trace_id,
-                spec=_spec_label(token),
-                op=request.op,
-                s=request.s,
-                backend="process",
-                duration_us=(result.elapsed_s or 0.0) * 1e6,
-                error=(
-                    type(result.error).__name__
-                    if result.error is not None
-                    else None
-                ),
-            )
-        results.append(result)
-    if harvest:
-        return rebuilds, results, harvest_mod.delta_since(base)
-    return rebuilds, results, None
-
-
-def execute_shard_chunk(
-    key: bytes,
-    token: Tuple[Any, ...],
-    draws: List[Tuple[Any, ...]],
-    harvest: bool = False,
-) -> Tuple[int, List[Tuple[str, Any]], Optional[dict]]:
-    """Execute shard sub-draws on this worker's resident shard.
-
-    ``draws`` entries are ``(shard, lo, hi, quota, seed, trace_id)`` —
-    one :class:`~repro.engine.protocol.ShardTask` each, plus the owning
-    request's trace for harvest tagging — optionally extended with a
-    seventh *portable plan* element, ``(kind, key, hint)`` from
-    :meth:`~repro.core.planner.QueryPlan.portable`. When present (and
-    the resident shard is planful), the worker rebuilds the parent's
-    shard-local plan from the cover hint — skipping the cover search —
-    and executes it; planning consumes no randomness, so the draws stay
-    byte-identical to the ``sample_span`` path. All entries must target
-    the shard this worker's ``token`` rebuilds (the parent routes one
-    shard per resident worker). Returns ``(rebuilds, outcomes, delta)``
-    where each outcome is ``("ok", local_indices)`` — an ``intp`` array
-    when the quota clears the batch cutoff, a list below it or on the
-    scalar tier — or ``("err", exception)``; failures are captured per
-    sub-draw so one bad span cannot poison the shard's batchmates. With
-    ``harvest`` on,
-    each sub-draw lands in the flight recorder tagged with its shard id
-    (``spec`` suffix ``#s<j>``), so per-shard timelines fall out of the
-    normal obs tail.
-    """
-    base: Optional[dict] = None
-    if harvest:
-        from repro.obs import harvest as harvest_mod
-
-        obs.enable()
-        base = harvest_mod.baseline()
-    rebuilds = 0
-    sampler = _RESIDENT.get(key)
-    outcomes: List[Tuple[str, Any]] = []
-    for entry in draws:
-        shard, lo, hi, quota, seed, trace_id = entry[:6]
-        portable = entry[6] if len(entry) > 6 else None
-        trace_token = obs.set_current_trace(trace_id) if harvest else None
-        started = time.perf_counter()
-        error: Optional[Exception] = None
-        try:
-            if sampler is None:
-                with obs.span("worker.build", kind=str(token[0])):
-                    sampler = build_from_token(token)
-                _RESIDENT[key] = sampler
-                rebuilds = 1
-            with obs.span("worker.shard_draw", s=quota, shard=shard):
-                if portable is not None and getattr(sampler, "plan_kind", None):
-                    plan = sampler.plan_span(lo, hi, portable=portable)
-                    local = sampler.execute_plan(
-                        plan, quota, rng=ensure_rng(seed)
-                    )
-                else:
-                    local = sampler.sample_span(
-                        lo, hi, quota, rng=ensure_rng(seed)
-                    )
-            if kernels.use_batch(len(local)):
-                # An array pickles as one buffer and feeds the parent's
-                # merge kernel without a list walk on either side.
-                local = kernels.np.asarray(local, dtype=kernels.np.intp)
-            outcomes.append(("ok", local))
-        except Exception as exc:
-            error = _picklable_error(exc)
-            outcomes.append(("err", error))
-        finally:
-            if trace_token is not None:
-                obs.reset_current_trace(trace_token)
-        if harvest:
-            obs.RECORDER.record(
-                trace=trace_id,
-                spec=f"{_spec_label(token)}#s{shard}",
-                op="sample_span",
-                s=quota,
-                backend="process",
-                duration_us=(time.perf_counter() - started) * 1e6,
-                error=type(error).__name__ if error is not None else None,
-            )
+    built = key in _RESIDENT
+    run_item = _run_draw if kind == "shard" else _run_request
+    outcomes = [run_item(key, token, item, harvest) for item in items]
+    rebuilds = int(not built and key in _RESIDENT)
     if harvest:
         return rebuilds, outcomes, harvest_mod.delta_since(base)
     return rebuilds, outcomes, None
+
+
+def _resident(key: bytes, token: Tuple[Any, ...]) -> Any:
+    """The sampler resident under ``key``, built from ``token`` on first use."""
+    sampler = _RESIDENT.get(key)
+    if sampler is None:
+        with obs.span("worker.build", kind=str(token[0])):
+            sampler = build_from_token(token)
+        _RESIDENT[key] = sampler
+    return sampler
+
+
+def _run_request(
+    key: bytes,
+    token: Tuple[Any, ...],
+    job: Tuple[QueryRequest, Optional[int]],
+    harvest: bool,
+) -> QueryResult:
+    """One ``(request, seed)`` job; its failure is captured on the result."""
+    request, seed = job
+    trace_token = obs.set_current_trace(request.trace_id) if harvest else None
+    try:
+        sampler = _resident(key, token)
+        with obs.span("worker.execute", op=request.op):
+            result = sampler.execute(
+                request, rng=None if seed is None else ensure_rng(seed)
+            )
+        result.seed = seed
+    except Exception as exc:
+        result = QueryResult(
+            request=request,
+            values=None,
+            seed=seed,
+            trace_id=request.trace_id,
+            error=_picklable_error(exc),
+        )
+    finally:
+        if trace_token is not None:
+            obs.reset_current_trace(trace_token)
+    if harvest:
+        obs.RECORDER.record(
+            trace=request.trace_id,
+            spec=_spec_label(token),
+            op=request.op,
+            s=request.s,
+            backend="process",
+            duration_us=(result.elapsed_s or 0.0) * 1e6,
+            error=type(result.error).__name__ if result.error is not None else None,
+        )
+    return result
+
+
+def _run_draw(
+    key: bytes, token: Tuple[Any, ...], entry: Tuple[Any, ...], harvest: bool
+) -> Tuple[str, Any]:
+    """One shard sub-draw on this worker's resident shard.
+
+    ``entry`` is ``(shard, lo, hi, quota, seed, trace_id)`` — one
+    :class:`~repro.engine.protocol.ShardTask` plus the owning request's
+    trace for harvest tagging — optionally extended with a seventh
+    *portable plan* element, ``(kind, key, hint)`` from
+    :meth:`~repro.core.planner.QueryPlan.portable`. When present (and the
+    resident shard is planful), the worker rebuilds the parent's
+    shard-local plan from the cover hint — skipping the cover search —
+    and executes it; planning consumes no randomness, so the draws stay
+    byte-identical to the ``sample_span`` path. The entry must target the
+    shard ``token`` rebuilds (the parent routes one shard per resident
+    worker). The outcome is ``("ok", local_indices)`` — an ``intp`` array
+    when the quota clears the batch cutoff, a list below it or on the
+    scalar tier — or ``("err", exception)``. With ``harvest`` on, the
+    sub-draw lands in the flight recorder tagged with its shard id
+    (``spec`` suffix ``#s<j>``), so per-shard timelines fall out of the
+    normal obs tail.
+    """
+    shard, lo, hi, quota, seed, trace_id = entry[:6]
+    portable = entry[6] if len(entry) > 6 else None
+    trace_token = obs.set_current_trace(trace_id) if harvest else None
+    started = time.perf_counter()
+    error: Optional[Exception] = None
+    try:
+        sampler = _resident(key, token)
+        with obs.span("worker.shard_draw", s=quota, shard=shard):
+            if portable is not None and getattr(sampler, "plan_kind", None):
+                plan = sampler.plan_span(lo, hi, portable=portable)
+                local = sampler.execute_plan(plan, quota, rng=ensure_rng(seed))
+            else:
+                local = sampler.sample_span(lo, hi, quota, rng=ensure_rng(seed))
+        if kernels.use_batch(len(local)):
+            # An array pickles as one buffer and feeds the parent's
+            # merge kernel without a list walk on either side.
+            local = kernels.np.asarray(local, dtype=kernels.np.intp)
+        outcome: Tuple[str, Any] = ("ok", local)
+    except Exception as exc:
+        error = _picklable_error(exc)
+        outcome = ("err", error)
+    finally:
+        if trace_token is not None:
+            obs.reset_current_trace(trace_token)
+    if harvest:
+        obs.RECORDER.record(
+            trace=trace_id,
+            spec=f"{_spec_label(token)}#s{shard}",
+            op="sample_span",
+            s=quota,
+            backend="process",
+            duration_us=(time.perf_counter() - started) * 1e6,
+            error=type(error).__name__ if error is not None else None,
+        )
+    return outcome
 
 
 def serve(conn: Any) -> None:
@@ -290,10 +272,9 @@ def serve(conn: Any) -> None:
 
     * ``("token", tid, key)`` — ``key`` is a pickled build token, sent
       once per (worker, token) and named ``tid`` from then on; no reply.
-    * ``(kind, tid, items, harvest)`` — ``"chunk"`` runs ``items`` as
-      ``(request, seed)`` jobs through :func:`execute_chunk`,
-      ``"shard"`` runs them as sub-draws through
-      :func:`execute_shard_chunk`; the envelope goes back on ``conn``.
+    * ``(kind, tid, items, harvest)`` — ``"chunk"`` (``(request, seed)``
+      jobs) or ``"shard"`` (sub-draws), run through :func:`execute`;
+      the envelope goes back on ``conn``.
     * ``None`` — stop.
 
     The loop also ends when every copy of the parent's end is closed.
@@ -317,8 +298,7 @@ def serve(conn: Any) -> None:
         key = keys[tid]
         head = heads.get(key) if key in _RESIDENT else None
         token = head if head is not None else pickle.loads(key)
-        execute = execute_shard_chunk if kind == "shard" else execute_chunk
-        conn.send(execute(key, token, body, harvest=message[3]))
+        conn.send(execute(key, token, kind, body, message[3]))
         heads[key] = token[:2]
 
 

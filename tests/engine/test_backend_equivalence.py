@@ -250,7 +250,7 @@ class TestComposedPlacementTier:
             first = metrics_on.value("engine.serialized_bytes")
             results += engine.run(sampler, requests())
             shared_bytes = sum(seg.size for seg in engine._shm_segments)
-            (_, view), = engine._placement._views.values()
+            (_, view), = engine._views.values()
             token_bytes = sum(len(key) for key in view._runner._keys)
         assert all(r.ok for r in results)
         assert shared_bytes > 500_000  # the structure itself is ~MBs…

@@ -148,6 +148,9 @@ class TestErrors:
             SamplingEngine(errors="ignore")
         with pytest.raises(ValueError):
             SamplingEngine(max_workers=0)
+        for bad in (2.5, "2", True):
+            with pytest.raises(ValueError, match="max_workers must be an int >= 1"):
+                SamplingEngine(max_workers=bad)
         with pytest.raises(TypeError):
             SamplingEngine(seed="abc")
         with pytest.raises(ValueError, match="shards must be"):

@@ -30,9 +30,6 @@ from repro.engine import (
     normalize_backend,
 )
 from repro.engine.placement import (
-    LocalPlacement,
-    ShardedPlacement,
-    make_placement,
     merge_indices,
     plan_fan_out,
     shard_seed,
@@ -95,12 +92,6 @@ class TestNormalizeBackend:
     def test_matrix_constants_exported(self):
         assert PLACEMENTS == ("local", "sharded")
         assert BACKENDS == ("serial", "thread", "process")
-
-    def test_make_placement_kinds(self):
-        assert isinstance(make_placement("local"), LocalPlacement)
-        sharded = make_placement("sharded", shards=6)
-        assert isinstance(sharded, ShardedPlacement)
-        assert sharded.shards == 6
 
 
 class TestSplitPrimitives:

@@ -93,7 +93,7 @@ class TestWorkerExecutesShippedPlans:
         )
 
     def test_portable_entry_matches_span_path(self):
-        from repro.engine.worker import _RESIDENT, execute_shard_chunk
+        from repro.engine.worker import _RESIDENT, execute
 
         keys = [float(i) for i in range(64)]
         weights = [1.0 + (i % 5) for i in range(64)]
@@ -105,12 +105,12 @@ class TestWorkerExecutesShippedPlans:
         # an intp array on the numpy tier.
         for quota in (5, 40):
             try:
-                _, plain_out, _ = execute_shard_chunk(
-                    key, token, [(0, 3, 57, quota, 1234, None)]
+                _, plain_out, _ = execute(
+                    key, token, "shard", [(0, 3, 57, quota, 1234, None)]
                 )
                 _RESIDENT.pop(key, None)  # fresh resident for the shipped leg
-                _, shipped_out, _ = execute_shard_chunk(
-                    key, token, [(0, 3, 57, quota, 1234, None, portable)]
+                _, shipped_out, _ = execute(
+                    key, token, "shard", [(0, 3, 57, quota, 1234, None, portable)]
                 )
             finally:
                 _RESIDENT.pop(key, None)
@@ -122,7 +122,7 @@ class TestWorkerExecutesShippedPlans:
             assert len(plain) == quota
 
     def test_cover_hint_skips_the_cover_search(self):
-        from repro.engine.worker import _RESIDENT, execute_shard_chunk
+        from repro.engine.worker import _RESIDENT, execute
 
         keys = [float(i) for i in range(64)]
         weights = [1.0] * 64
@@ -132,7 +132,7 @@ class TestWorkerExecutesShippedPlans:
         try:
             # Make the shard resident, then poison its cover search: a
             # shipped hint must not need it.
-            execute_shard_chunk(key, token, [(0, 1, 9, 2, 7, None)])
+            execute(key, token, "shard", [(0, 1, 9, 2, 7, None)])
             resident = _RESIDENT[key]
 
             def boom(lo, hi):
@@ -142,15 +142,15 @@ class TestWorkerExecutesShippedPlans:
 
             resident.query_split = boom
             portable = parent.plan_span(5, 61).portable()
-            _, outcomes, _ = execute_shard_chunk(
-                key, token, [(0, 5, 61, 3, 99, None, portable)]
+            _, outcomes, _ = execute(
+                key, token, "shard", [(0, 5, 61, 3, 99, None, portable)]
             )
             assert outcomes[0][0] == "ok", outcomes[0][1]
             # Without the hint, the same uncached span needs the search
             # — proving the poison was live and the hint really skipped
             # it.
-            _, outcomes, _ = execute_shard_chunk(
-                key, token, [(0, 5, 62, 3, 99, None)]
+            _, outcomes, _ = execute(
+                key, token, "shard", [(0, 5, 62, 3, 99, None)]
             )
             assert outcomes[0][0] == "err"
         finally:

@@ -13,7 +13,7 @@ import pytest
 
 from repro.engine import QueryRequest, SamplingEngine, spec_token
 from repro.errors import WorkerCrashedError
-from tests.engine.faulty import DIE_ONCE
+from tests.engine.faulty import DIE_ONCE, build_faulty
 
 FAULTY = ("call", "tests.engine.faulty:build_faulty", ())
 
@@ -63,6 +63,9 @@ class TestProcessExecution:
     def test_run_token_requires_process_backend(self):
         with pytest.raises(ValueError, match="requires backend='process'"):
             SamplingEngine(backend="serial").run_token(FAULTY, [req("ok")])
+        with SamplingEngine(backend="process", placement="sharded") as engine:
+            with pytest.raises(ValueError, match="placement='local'"):
+                engine.run_token(FAULTY, [req("ok")])
 
     def test_unpicklable_token_raises_type_error(self):
         token = ("call", "tests.engine.faulty:build_faulty", (("lock", threading.Lock()),))
@@ -135,6 +138,46 @@ class TestFaultInjection:
         with SamplingEngine(backend="process", seed=1, max_workers=1) as engine:
             engine.run_token(FAULTY, [req("ok"), req("raise"), req("raise")])
         assert metrics_on.snapshot()["counters"]["engine.request_errors"] == 2
+
+
+class TestOneSettleStep:
+    """Wherever a request ran, its result is settled once: one flight
+    record, and one count in either ``engine.request_us`` or
+    ``engine.request_errors``."""
+
+    @pytest.mark.parametrize(
+        "backend,behaviors",
+        [
+            ("serial", ["ok", "raise", "ok"]),
+            ("thread", ["ok", "raise", "ok"]),
+            # "die" needs a worker process to kill, not the test process.
+            ("process", ["ok", "raise", "die", "ok"]),
+        ],
+    )
+    def test_one_record_and_one_count_per_request(
+        self, metrics_on, backend, behaviors
+    ):
+        requests = [req(behavior) for behavior in behaviors]
+        with SamplingEngine(backend=backend, seed=1, max_workers=2) as engine:
+            if backend == "process":
+                results = engine.run_token(FAULTY, requests)
+            else:
+                results = engine.run(build_faulty(), requests)
+        assert [r.ok for r in results] == [b == "ok" for b in behaviors]
+        for behavior, result in zip(behaviors, results):
+            records = metrics_on.RECORDER.for_trace(result.trace_id)
+            assert len(records) == 1, (behavior, records)
+            if result.error is not None:
+                assert result.error.flight_records == records
+            if behavior == "die":
+                # The worker's record died with it; this one is the parent's.
+                assert isinstance(result.error, WorkerCrashedError)
+                assert records[0]["error"] == "WorkerCrashedError"
+                assert records[0]["worker"] == os.getpid()
+        failures = sum(not r.ok for r in results)
+        snap = metrics_on.snapshot()
+        assert snap["counters"]["engine.request_errors"] == failures
+        assert snap["histograms"]["engine.request_us"]["count"] == len(results) - failures
 
 
 class TestLifecycle:

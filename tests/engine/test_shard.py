@@ -150,12 +150,13 @@ class TestEdgeCases:
         engine = SamplingEngine(placement="sharded", backend="thread", seed=1, shards=4)
         sampler = make_sampler()
         engine.run(sampler, make_requests(count=2))
-        views = engine._placement._views
+        views = engine._views
         assert len(views) == 1
         (memo_sampler, view), = views.values()
         assert memo_sampler is sampler
+        assert view.num_shards == 4
         engine.run(sampler, make_requests(count=2))
-        assert engine._placement._views[id(sampler)][1] is view
+        assert engine._views[id(sampler)][1] is view
         # The wrapped sampler stays pristine: nothing is monkey-stashed
         # on the caller's structure, so two engines can't fight over it.
         assert not hasattr(sampler, "_engine_shard_views")
@@ -168,7 +169,7 @@ class TestEdgeCases:
         engine.run(sampler, make_requests(count=2))
         assert engine._threads is not None  # the fan-out ran on the engine's pool
         engine.close()
-        assert engine._placement._views == {}
+        assert engine._views == {}
         assert engine._threads is None
         # close is idempotent and the engine stays usable for a new run
         engine.close()

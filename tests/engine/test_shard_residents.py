@@ -115,7 +115,7 @@ def test_close_frees_the_view_without_a_collection():
         placement="sharded", backend="process", seed=SEED, shards=2, max_workers=2
     )
     assert all(r.ok for r in engine.run(sampler, _requests(template, SIZES)))
-    (_, view), = engine._placement._views.values()
+    (_, view), = engine._views.values()
     view = weakref.ref(view)
     gc.disable()
     try:
