@@ -65,10 +65,12 @@ class SampledTable(EngineSampler):
     """An in-memory table with IQS indexes on chosen columns."""
 
     # Request shape: args=(column, lo, hi); indexes must exist already
-    # (create_index is a build-time step, not a query op).
+    # (create_index is a build-time step, not a query op). Queries only
+    # read the rows and the thread-safe column samplers.
     engine_ops = {
-        "sample": EngineOp("sample_where", takes_s=True, pass_rng=False),
+        "sample": EngineOp("sample_where", takes_s=True, spawn=True),
     }
+    engine_thread_safe = True
 
     def __init__(self, rows: Sequence[Row], rng: RNGLike = None):
         if len(rows) == 0:
@@ -138,6 +140,8 @@ class SampledTable(EngineSampler):
         weight_column: Optional[str] = None,
         where: Optional[Callable[[Row], bool]] = None,
         max_rejects_per_sample: int = 10_000,
+        *,
+        rng: RNGLike = None,
     ) -> List[Row]:
         """``s`` independent random rows with ``row[column] ∈ [lo, hi]``.
 
@@ -145,7 +149,8 @@ class SampledTable(EngineSampler):
         proportional to that column; with ``where`` the samples are
         additionally conditioned on the predicate by rejection (expected
         cost multiplies by the inverse of the predicate's selectivity
-        inside the range).
+        inside the range). ``rng`` overrides the instance stream, which
+        the column indexes share.
         """
         validate_sample_size(s)
         index = self._index_for(column, weight_column)
@@ -156,13 +161,15 @@ class SampledTable(EngineSampler):
         rows = self._rows
         positions = index.row_positions
         if where is None:
-            drawn = index.sampler.sample_span(span_lo, span_hi, s)
+            drawn = index.sampler.sample_span(span_lo, span_hi, s, rng=rng)
             return [rows[positions[i]] for i in drawn]
 
         result: List[Row] = []
         rejects = 0
         while len(result) < s:
-            batch = index.sampler.sample_span(span_lo, span_hi, s - len(result))
+            batch = index.sampler.sample_span(
+                span_lo, span_hi, s - len(result), rng=rng
+            )
             for i in batch:
                 row = rows[positions[i]]
                 if where(row):

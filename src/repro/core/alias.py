@@ -131,8 +131,8 @@ class AliasSampler(EngineSampler, Generic[T]):
     )
 
     engine_ops = {
-        "sample": EngineOp("sample_many", takes_s=True, pass_rng=True),
-        "sample_indices": EngineOp("sample_indices", takes_s=True, pass_rng=True),
+        "sample": EngineOp("sample_many", takes_s=True),
+        "sample_indices": EngineOp("sample_indices", takes_s=True),
     }
     engine_thread_safe = True
 

@@ -34,8 +34,9 @@ class ApproximateDynamicSampler(EngineSampler, Generic[T]):
     """ε-approximate weighted set sampling with O(1) updates (Direction 4)."""
 
     engine_ops = {
-        "sample": EngineOp("sample_many", takes_s=True, pass_rng=False),
+        "sample": EngineOp("sample_many", takes_s=True, spawn=True),
     }
+    engine_thread_safe = True  # queries only read the weight classes
 
     def __init__(self, epsilon: float = 0.1, rng: RNGLike = None):
         if not 0 < epsilon < 1:
@@ -119,16 +120,17 @@ class ApproximateDynamicSampler(EngineSampler, Generic[T]):
             )
         return item  # type: ignore[return-value]
 
-    def sample(self) -> T:
+    def sample(self, *, rng: RNGLike = None) -> T:
         """One independent ε-approximate weighted sample.
 
         Exact two-stage draw over the quantized distribution: pick a class
         proportional to ``|class|·(1+ε)^k`` (linear scan over the
-        O((1/ε) log W) classes), then a uniform member.
+        O((1/ε) log W) classes), then a uniform member. ``rng`` overrides
+        the instance stream.
         """
         if self._size == 0:
             raise EmptyQueryError("sampler is empty")
-        rng = self._rng
+        rng = self._rng if rng is None else rng
         class_items = self._class_items
         class_unit = self._class_unit
         target = rng.random() * self._total_mass
@@ -145,9 +147,9 @@ class ApproximateDynamicSampler(EngineSampler, Generic[T]):
             index -= 1
         return items[index]  # type: ignore[return-value]
 
-    def sample_many(self, s: int) -> List[T]:
+    def sample_many(self, s: int, *, rng: RNGLike = None) -> List[T]:
         validate_sample_size(s)
-        return [self.sample() for _ in range(s)]
+        return [self.sample(rng=rng) for _ in range(s)]
 
     def probability_bounds(self, handle: int, total_true_weight: float) -> Tuple[float, float]:
         """(lower, upper) bounds on this element's sampling probability

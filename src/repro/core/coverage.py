@@ -109,8 +109,8 @@ class CoverageSampler(EngineSampler):
     """
 
     engine_ops = {
-        "sample": EngineOp("sample", takes_s=True, pass_rng=True),
-        "sample_indices": EngineOp("sample_indices", takes_s=True, pass_rng=True),
+        "sample": EngineOp("sample", takes_s=True),
+        "sample_indices": EngineOp("sample_indices", takes_s=True),
     }
     engine_thread_safe = True
 

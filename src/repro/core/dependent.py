@@ -31,19 +31,19 @@ class DependentRangeSampler(RangeQueryMixin):
     """Range sampling without cross-query independence (§2)."""
 
     # The fixed preprocessing permutation is the whole point of this
-    # baseline, so there is no per-request stream to thread through —
-    # seeded requests swap the conversion randomness only.
+    # baseline: a request's ``rng`` feeds only the WoR→WR conversion, and
+    # queries only read the rank tree.
     engine_ops = {
-        "sample": EngineOp("sample_with_replacement", takes_s=True, pass_rng=False),
+        "sample": EngineOp("sample_with_replacement", takes_s=True, spawn=True),
         "sample_wor": EngineOp(
-            "sample_without_replacement", takes_s=True, pass_rng=False
+            "sample_without_replacement", takes_s=True, spawn=True
         ),
     }
-    engine_thread_safe = False
+    engine_thread_safe = True
 
-    def sample(self, x: float, y: float, s: int) -> List[float]:
+    def sample(self, x: float, y: float, s: int, *, rng: RNGLike = None) -> List[float]:
         """Alias for :meth:`sample_with_replacement` (protocol entry)."""
-        return self.sample_with_replacement(x, y, s)
+        return self.sample_with_replacement(x, y, s, rng=rng)
 
     def __init__(self, keys: Sequence[float], rng: RNGLike = None):
         if len(keys) == 0:
@@ -65,12 +65,15 @@ class DependentRangeSampler(RangeQueryMixin):
     def keys(self) -> List[float]:
         return self._tree.keys
 
-    def sample_without_replacement(self, x: float, y: float, s: int) -> List[float]:
+    def sample_without_replacement(
+        self, x: float, y: float, s: int, *, rng: RNGLike = None
+    ) -> List[float]:
         """A WoR sample of size ``s`` from ``S ∩ [x, y]``.
 
         Correctly uniform over size-``s`` subsets *per query*, but repeating
         the query reproduces the identical output — the dependence the
-        paper's IQS definition (eq. 1) forbids.
+        paper's IQS definition (eq. 1) forbids. It draws nothing, so
+        ``rng`` is accepted for the engine's one call shape and unused.
         """
         validate_sample_size(s)
         hits = self._tree.lowest_ranked_in_range(x, y, s)
@@ -83,12 +86,15 @@ class DependentRangeSampler(RangeQueryMixin):
         keys = self._tree.keys
         return [keys[index] for _, index in hits]
 
-    def sample_with_replacement(self, x: float, y: float, s: int) -> List[float]:
+    def sample_with_replacement(
+        self, x: float, y: float, s: int, *, rng: RNGLike = None
+    ) -> List[float]:
         """A WR sample of size ``s`` via the O(s) WoR→WR conversion (§2).
 
-        The conversion consumes fresh randomness, so two calls differ in
-        *pattern*, but they keep drawing from the same low-rank elements —
-        still dependent across queries.
+        The conversion consumes fresh randomness (from ``rng``, else the
+        instance stream), so two calls differ in *pattern*, but they keep
+        drawing from the same low-rank elements — still dependent across
+        queries.
         """
         validate_sample_size(s)
         population = self._count(x, y)
@@ -97,7 +103,9 @@ class DependentRangeSampler(RangeQueryMixin):
         wor = self._tree.lowest_ranked_in_range(x, y, min(s, population))
         keys = self._tree.keys
         wor_keys = [keys[index] for _, index in wor]
-        return wr_from_wor(wor_keys, population, rng=self._rng, size=s)
+        return wr_from_wor(
+            wor_keys, population, rng=self._rng if rng is None else rng, size=s
+        )
 
     def _count(self, x: float, y: float) -> int:
         keys = self._tree.keys

@@ -58,8 +58,10 @@ def _check_weight(weight: float) -> float:
 class FenwickDynamicSampler(EngineSampler, Generic[T]):
     """O(log n) updates and samples via a Fenwick tree over slot weights."""
 
+    # Not thread-safe: a query that strays onto a freed slot rebuilds the
+    # tree (see sample), so queries on one instance serialize.
     engine_ops = {
-        "sample": EngineOp("sample_many", takes_s=True, pass_rng=False),
+        "sample": EngineOp("sample_many", takes_s=True, spawn=True),
     }
 
     def __init__(self, rng: RNGLike = None, initial_capacity: int = 16):
@@ -107,13 +109,14 @@ class FenwickDynamicSampler(EngineSampler, Generic[T]):
         self._tree.add(handle, value - self._weights[handle])
         self._weights[handle] = value
 
-    def sample(self) -> T:
-        """One independent weighted sample in O(log n)."""
+    def sample(self, *, rng: RNGLike = None) -> T:
+        """One independent weighted sample in O(log n); ``rng`` overrides
+        the instance stream."""
         if self._size == 0:
             raise EmptyQueryError("sampler is empty")
         if obs.ENABLED:
             _FENWICK_DRAWS.inc()
-        rng = self._rng
+        rng = self._rng if rng is None else rng
         for _ in range(4):
             target = rng.random() * self._tree.total
             slot = self._tree.find_prefix(target)
@@ -125,23 +128,25 @@ class FenwickDynamicSampler(EngineSampler, Generic[T]):
         target = rng.random() * self._tree.total
         return self._items[self._tree.find_prefix(target)]  # type: ignore[return-value]
 
-    def sample_many(self, s: int) -> List[T]:
-        """``s`` independent weighted samples.
+    def sample_many(self, s: int, *, rng: RNGLike = None) -> List[T]:
+        """``s`` independent weighted samples (``rng`` overrides the
+        instance stream).
 
         The batch path replaces ``s`` Fenwick descents with one prefix-sum
         pass plus a vectorized binary search over all targets: O(n + s
         log n) numpy work instead of O(s log n) interpreted work.
         """
         validate_sample_size(s)
+        rng = self._rng if rng is None else rng
         if self._size > 0 and kernels.use_batch(s):
-            return self._sample_many_batch(s)
-        return [self.sample() for _ in range(s)]
+            return self._sample_many_batch(s, rng)
+        return [self.sample(rng=rng) for _ in range(s)]
 
-    def _sample_many_batch(self, s: int) -> List[T]:
+    def _sample_many_batch(self, s: int, rng: RNGLike) -> List[T]:
         if obs.ENABLED:
             _FENWICK_DRAWS.add(s)
         np = kernels.np
-        gen = kernels.batch_generator(self._rng)
+        gen = kernels.batch_generator(rng)
         cum = np.cumsum(np.asarray(self._weights, dtype=np.float64))
         slots = kernels.inverse_cdf_draw_batch(cum, s, gen)
         items = self._items
@@ -150,7 +155,7 @@ class FenwickDynamicSampler(EngineSampler, Generic[T]):
             value = items[slot]
             if value is _TOMBSTONE:
                 # Float-boundary stray onto a zero-weight slot; redraw.
-                value = self.sample()
+                value = self.sample(rng=rng)
             result.append(value)  # type: ignore[arg-type]
         return result
 
@@ -180,8 +185,9 @@ class BucketDynamicSampler(EngineSampler, Generic[T]):
     """
 
     engine_ops = {
-        "sample": EngineOp("sample_many", takes_s=True, pass_rng=False),
+        "sample": EngineOp("sample_many", takes_s=True, spawn=True),
     }
+    engine_thread_safe = True  # queries only read the buckets
 
     def __init__(self, rng: RNGLike = None):
         self._rng = ensure_rng(rng)
@@ -272,8 +278,9 @@ class BucketDynamicSampler(EngineSampler, Generic[T]):
         self._handle_at[location] = handle
         self._next_handle -= 1
 
-    def sample(self) -> T:
-        """One independent weighted sample; expected O(#buckets) time.
+    def sample(self, *, rng: RNGLike = None) -> T:
+        """One independent weighted sample; expected O(#buckets) time
+        (``rng`` overrides the instance stream).
 
         Buckets are selected proportionally to their *bound mass*
         ``n_j · 2^{j+1}`` (not the exact total): combined with the
@@ -286,7 +293,7 @@ class BucketDynamicSampler(EngineSampler, Generic[T]):
             raise EmptyQueryError("sampler is empty")
         enabled = obs.ENABLED
         proposals = 0
-        rng = self._rng
+        rng = self._rng if rng is None else rng
         bucket_items = self._bucket_items
         total_bound = 0.0
         for bucket, items in bucket_items.items():
@@ -317,8 +324,9 @@ class BucketDynamicSampler(EngineSampler, Generic[T]):
                     _BUCKET_REJECTIONS.add(proposals - 1)
                 return items[index]  # type: ignore[return-value]
 
-    def sample_many(self, s: int) -> List[T]:
-        """``s`` independent weighted samples.
+    def sample_many(self, s: int, *, rng: RNGLike = None) -> List[T]:
+        """``s`` independent weighted samples (``rng`` overrides the
+        instance stream).
 
         The batch path snapshots the buckets into flat arrays once, then
         runs the bucket-choice / in-bucket-pick / rejection-coin pipeline
@@ -326,13 +334,14 @@ class BucketDynamicSampler(EngineSampler, Generic[T]):
         a block of ``2·need`` proposals usually finishes the request).
         """
         validate_sample_size(s)
+        rng = self._rng if rng is None else rng
         if self._size > 0 and kernels.use_batch(s):
-            return self._sample_many_batch(s)
-        return [self.sample() for _ in range(s)]
+            return self._sample_many_batch(s, rng)
+        return [self.sample(rng=rng) for _ in range(s)]
 
-    def _sample_many_batch(self, s: int) -> List[T]:
+    def _sample_many_batch(self, s: int, rng: RNGLike) -> List[T]:
         np = kernels.np
-        gen = kernels.batch_generator(self._rng)
+        gen = kernels.batch_generator(rng)
         flat_items: List[object] = []
         flat_weights: List[float] = []
         offsets: List[int] = []

@@ -21,6 +21,7 @@ paper describes (fast updates vs. the un-dynamizable alias structure).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Generic, List, Optional, Tuple, TypeVar
 
 from repro.core.planner import QueryPlan
@@ -32,17 +33,25 @@ from repro.validation import validate_sample_size
 K = TypeVar("K")
 
 
-class _Node:
-    __slots__ = ("key", "weight", "priority", "left", "right", "subtree_weight", "size")
+class _Node(float):
+    """A treap node whose float value is its heap priority.
 
-    def __init__(self, key, weight: float, priority: float):
-        self.key = key
-        self.weight = weight
-        self.priority = priority
-        self.left: Optional["_Node"] = None
-        self.right: Optional["_Node"] = None
-        self.subtree_weight = weight
-        self.size = 1
+    Holding the priority inline saves a separate float object per node
+    (about 1 MiB at n = 2^15). Nodes compare by priority, so test them
+    against ``None``, never for truth or equality.
+    """
+
+    __slots__ = ("key", "weight", "left", "right", "subtree_weight", "size")
+
+    def __new__(cls, key, weight: float, priority: float) -> "_Node":
+        node = super().__new__(cls, priority)
+        node.key = key
+        node.weight = weight
+        node.left = None
+        node.right = None
+        node.subtree_weight = weight
+        node.size = 1
+        return node
 
 
 def _pull(node: _Node) -> None:
@@ -61,7 +70,7 @@ def _merge(left: Optional[_Node], right: Optional[_Node]) -> Optional[_Node]:
         return right
     if right is None:
         return left
-    if left.priority > right.priority:
+    if left > right:  # the higher priority stays on top
         left.right = _merge(left.right, right)
         _pull(left)
         return left
@@ -89,12 +98,12 @@ def _split(node: Optional[_Node], key, *, include_key_left: bool) -> Tuple[Optio
 class DynamicRangeSampler(RangeQueryMixin, Generic[K]):
     """Treap-backed weighted range sampling with O(log n) updates."""
 
-    # Updates mutate the treap, so concurrent execution is unsafe; seeded
-    # requests go through the protocol's swap path.
+    # A query only reads the treap; updates are direct calls, never
+    # engine ops, so concurrent engine reads need no lock.
     engine_ops = {
-        "sample": EngineOp("sample", takes_s=True, pass_rng=False),
+        "sample": EngineOp("sample", takes_s=True, spawn=True),
     }
-    engine_thread_safe = False
+    engine_thread_safe = True
 
     plan_kind = "dynamic"
 
@@ -183,28 +192,28 @@ class DynamicRangeSampler(RangeQueryMixin, Generic[K]):
         entries, collected along the two boundary search paths.
         """
         cover: List[Tuple[_Node, bool]] = []
-
-        def visit(node: Optional[_Node], lo_open: bool, hi_open: bool) -> None:
-            # lo_open: subtree may contain keys < x; hi_open: keys > y.
+        # Pre-order (node, then left, then right subtree): right is pushed
+        # before left. lo_open: the subtree may hold keys < x; hi_open: > y.
+        stack: List[Tuple[Optional[_Node], bool, bool]] = [(self._root, True, True)]
+        while stack:
+            node, lo_open, hi_open = stack.pop()
             if node is None:
-                return
+                continue
             if not lo_open and not hi_open:
                 cover.append((node, True))
-                return
+                continue
             key_in = (x <= node.key) and (node.key <= y)
             if node.key < x:
-                visit(node.right, lo_open, hi_open)
-                return
+                stack.append((node.right, lo_open, hi_open))
+                continue
             if node.key > y:
-                visit(node.left, lo_open, hi_open)
-                return
+                stack.append((node.left, lo_open, hi_open))
+                continue
             # node.key inside the range: both sides may contribute.
             if key_in:
                 cover.append((node, False))
-            visit(node.left, lo_open, False)
-            visit(node.right, False, hi_open)
-
-        visit(self._root, True, True)
+            stack.append((node.right, False, hi_open))
+            stack.append((node.left, lo_open, False))
         return cover
 
     def count(self, x: K, y: K) -> int:
@@ -219,9 +228,8 @@ class DynamicRangeSampler(RangeQueryMixin, Generic[K]):
             for node, whole in self._canonical_subtrees(x, y)
         )
 
-    def _walk(self, node: _Node) -> K:
+    def _walk(self, node: _Node, rng: RNGLike) -> K:
         """Weighted top-down walk; internal nodes carry their own element."""
-        rng = self._rng
         while True:
             target = rng.random() * node.subtree_weight
             if node.left is not None:
@@ -270,33 +278,33 @@ class DynamicRangeSampler(RangeQueryMixin, Generic[K]):
             raise EmptyQueryError(f"no keys in [{x!r}, {y!r}]")
         return plan
 
-    def execute_plan(self, plan: QueryPlan, s: int) -> List[K]:
-        """Draw ``s`` samples from a plan (all randomness spent here)."""
+    def execute_plan(self, plan: QueryPlan, s: int, *, rng: RNGLike = None) -> List[K]:
+        """Draw ``s`` samples from a plan (all randomness spent here,
+        from ``rng`` or else the instance stream)."""
         cover, cumulative, running = plan.payload
-        rng = self._rng
+        rng = self._rng if rng is None else rng
         result: List[K] = []
-        from bisect import bisect_right
-
         for _ in range(s):
             target = rng.random() * running
             index = bisect_right(cumulative, target)
             if index == len(cover):
                 index -= 1
             node, whole = cover[index]
-            result.append(self._walk(node) if whole else node.key)
+            result.append(self._walk(node, rng) if whole else node.key)
         return result
 
-    def sample(self, x: K, y: K, s: int) -> List[K]:
+    def sample(self, x: K, y: K, s: int, *, rng: RNGLike = None) -> List[K]:
         """``s`` independent weighted samples from ``S ∩ [x, y]``.
 
         O((1 + s) log n) expected; outputs of all queries are mutually
         independent, and stay so across arbitrary interleaved updates.
+        ``rng`` overrides the instance stream for this call.
         """
         validate_sample_size(s)
         plan = self.plan_range(x, y)
         if not plan.payload[0]:
             raise EmptyQueryError(f"no keys in [{x!r}, {y!r}]")
-        return self.execute_plan(plan, s)
+        return self.execute_plan(plan, s, rng=rng)
 
     def keys_in_order(self) -> List[K]:
         """In-order key listing (testing helper)."""

@@ -25,8 +25,8 @@ class IntegerRangeSampler(RangeQueryMixin):
     """O(n) space, O(log log U + s) weighted range sampling over integers."""
 
     engine_ops = {
-        "sample": EngineOp("sample", takes_s=True, pass_rng=True),
-        "sample_indices": EngineOp("sample_indices", takes_s=True, pass_rng=True),
+        "sample": EngineOp("sample", takes_s=True),
+        "sample_indices": EngineOp("sample_indices", takes_s=True),
     }
     engine_thread_safe = True
 

@@ -90,11 +90,6 @@ _BUILD_MAX_PASSES = 64
 
 _GEN_ATTR = "_repro_batch_generator"
 
-#: Public name of the attribute caching the derived NumPy generator on a
-#: ``random.Random`` — ``substrates.rng.temporary_seed`` must stash it so
-#: a re-seeded block derives a fresh batch generator too.
-GENERATOR_ATTR = _GEN_ATTR
-
 # Dispatch-ladder counters (repro.obs). "scalar" counts batch requests
 # that fell through to the pure-Python loops; "numpy"/"jit" count batched
 # kernel invocations served by each tier. Importing obs here is safe:

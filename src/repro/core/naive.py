@@ -66,8 +66,9 @@ class NaiveSetUnionSampler(EngineSampler):
     """
 
     engine_ops = {
-        "sample": EngineOp("sample_many", takes_s=True, pass_rng=False),
+        "sample": EngineOp("sample_many", takes_s=True, spawn=True),
     }
+    engine_thread_safe = True  # queries only read the family
 
     def __init__(self, family: Sequence[Sequence[T]], rng: RNGLike = None):
         if len(family) == 0:
@@ -78,8 +79,9 @@ class NaiveSetUnionSampler(EngineSampler):
     def __len__(self) -> int:
         return len(self._family)
 
-    def sample(self, group: Sequence[int]) -> T:
-        """One uniform sample from the union of the indexed sets."""
+    def sample(self, group: Sequence[int], *, rng: RNGLike = None) -> T:
+        """One uniform sample from the union of the indexed sets (``rng``
+        overrides the instance stream)."""
         union: List[T] = []
         seen = set()
         for set_index in group:
@@ -89,8 +91,11 @@ class NaiveSetUnionSampler(EngineSampler):
                     union.append(element)
         if not union:
             raise EmptyQueryError("union of the queried sets is empty")
-        return union[int(self._rng.random() * len(union))]
+        rng = self._rng if rng is None else rng
+        return union[int(rng.random() * len(union))]
 
-    def sample_many(self, group: Sequence[int], s: int) -> List[T]:
+    def sample_many(
+        self, group: Sequence[int], s: int, *, rng: RNGLike = None
+    ) -> List[T]:
         validate_sample_size(s)
-        return [self.sample(group) for _ in range(s)]
+        return [self.sample(group, rng=rng) for _ in range(s)]

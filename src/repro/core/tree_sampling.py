@@ -190,7 +190,7 @@ class TreeSampler(EngineSampler):
     """§3.2 top-down tree sampling: O(n) space, O(height) per sample."""
 
     engine_ops = {
-        "sample": EngineOp("sample_many", takes_s=True, pass_rng=True),
+        "sample": EngineOp("sample_many", takes_s=True),
     }
     engine_thread_safe = True
 
@@ -322,7 +322,7 @@ class FlatTreeSampler(EngineSampler):
     """
 
     engine_ops = {
-        "sample": EngineOp("sample_many", takes_s=True, pass_rng=True),
+        "sample": EngineOp("sample_many", takes_s=True),
     }
     engine_thread_safe = True
 

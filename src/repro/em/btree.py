@@ -129,14 +129,16 @@ class StaticBTree:
         if x > y:
             return []
         results: List[WeightedUnit] = []
-
-        def visit(entry: Entry) -> None:
-            min_key, max_key, ref, lo, hi, weight = entry
+        # Depth-first in child order (children pushed reversed), so blocks
+        # are read in the same sequence as a recursive walk would.
+        stack: List[Entry] = [self.root_entry]
+        while stack:
+            min_key, max_key, ref, lo, hi, weight = stack.pop()
             if min_key > y or max_key < x:
-                return
+                continue
             if x <= min_key and max_key <= y:
                 results.append((ref, lo, hi, weight))
-                return
+                continue
             kind, identifier = ref
             if kind == "leaf":
                 # Partially covered leaf: narrow to the exact sub-span.
@@ -153,11 +155,8 @@ class StaticBTree:
                     results.append(
                         (("partial", identifier), lo + inner_lo, lo + inner_hi, piece_weight)
                     )
-                return
-            for child in self.machine.read_block(identifier):
-                visit(tuple(child))
-
-        visit(self.root_entry)
+                continue
+            stack.extend(tuple(child) for child in reversed(self.machine.read_block(identifier)))
         results.sort(key=lambda unit: unit[1])
         return results
 

@@ -19,6 +19,7 @@ can be metered in O(1)-I/O units.
 from __future__ import annotations
 
 import heapq
+import random
 from typing import Generator, List, Optional, Sequence
 
 from repro.em.array import ExternalArray, ExternalWriter
@@ -117,18 +118,18 @@ class DeamortizedSamplePoolSetSampler(_EMSetEngineMixin):
 
         # Bootstrap: build the first active pool eagerly and record the
         # pipeline's step count so future rebuilds can be paced.
-        generator = self._rebuild_generator()
+        generator = self._start_rebuild()
         steps = 0
         while True:
             try:
-                next(generator)
+                generator.send(self._rng)
                 steps += 1
             except StopIteration as stop:
                 self._active: ExternalArray = stop.value
                 break
         self._steps_per_rebuild = max(1, steps)
         self._cursor = 0
-        self._spare_generator = self._rebuild_generator()
+        self._spare_generator = self._start_rebuild()
         self._spare_steps_done = 0
         self._spare_result: Optional[ExternalArray] = None
 
@@ -137,17 +138,29 @@ class DeamortizedSamplePoolSetSampler(_EMSetEngineMixin):
 
     # ------------------------------------------------------------------
 
-    def _rebuild_generator(self) -> Generator[None, None, ExternalArray]:
-        """The pool pipeline of §8, one yield per block-granular step."""
+    def _start_rebuild(self) -> Generator[None, random.Random, ExternalArray]:
+        """A fresh pool pipeline, run to the point where it awaits its
+        first step's generator."""
+        pipeline = self._rebuild_generator()
+        next(pipeline)
+        return pipeline
+
+    def _rebuild_generator(self) -> Generator[None, random.Random, ExternalArray]:
+        """The pool pipeline of §8, one yield per block-granular step.
+
+        Each step is resumed with ``send(rng)``, the generator of the
+        query advancing it, so a step's draws come from that query's
+        stream although the pipeline spans many queries.
+        """
+        rng = yield
         self.rebuild_count += 1
-        rng = self._rng
         n = len(self._data)
 
         writer = ExternalWriter(self.machine)
         for slot in range(self._pool_size):
             writer.append((int(rng.random() * n) % n, slot))
             if (slot + 1) % self.machine.block_size == 0:
-                yield
+                rng = yield
         pairs = writer.finish()
 
         by_index = yield from _stepwise_sort(self.machine, pairs)
@@ -178,43 +191,46 @@ class DeamortizedSamplePoolSetSampler(_EMSetEngineMixin):
         by_slot.free()
         return pool_writer.finish()
 
-    def _advance_spare(self, steps: int) -> None:
+    def _advance_spare(self, steps: int, rng: random.Random) -> None:
         for _ in range(steps):
             if self._spare_result is not None:
                 return
             try:
-                next(self._spare_generator)
+                self._spare_generator.send(rng)
                 self._spare_steps_done += 1
             except StopIteration as stop:
                 self._spare_result = stop.value
                 return
 
-    def _finish_spare_and_swap(self) -> None:
+    def _finish_spare_and_swap(self, rng: random.Random) -> None:
         while self._spare_result is None:
-            self._advance_spare(1_000_000)
+            self._advance_spare(1_000_000, rng)
         self._active.free()
         self._active = self._spare_result
         self._cursor = 0
         self._spare_result = None
-        self._spare_generator = self._rebuild_generator()
+        self._spare_generator = self._start_rebuild()
         self._spare_steps_done = 0
 
     # ------------------------------------------------------------------
 
-    def query(self, s: int) -> List:
+    def query(self, s: int, *, rng: RNGLike = None) -> List:
         """``s`` WR samples with worst-case-bounded I/O.
 
         Cost per query: ``⌈s/B⌉`` sequential pool reads plus at most
         ``pace_factor · steps_per_rebuild · (s / pool_size) + O(1)``
         incremental rebuild steps, each O(1) I/Os — no rebuild spikes.
+        The steps this query runs draw from ``rng`` (the instance stream
+        when ``None``).
         """
         validate_sample_size(s)
+        rng = self._rng if rng is None else rng
         start_ios = self.machine.stats.total
         result: List = []
         while len(result) < s:
             available = self._pool_size - self._cursor
             if available == 0:
-                self._finish_spare_and_swap()
+                self._finish_spare_and_swap(rng)
                 available = self._pool_size
             take = min(s - len(result), available)
             result.extend(self._active.read_range(self._cursor, self._cursor + take))
@@ -227,7 +243,7 @@ class DeamortizedSamplePoolSetSampler(_EMSetEngineMixin):
                 * (self._cursor / self._pool_size)
             ) + 1
             if self._spare_steps_done < target:
-                self._advance_spare(target - self._spare_steps_done)
+                self._advance_spare(target - self._spare_steps_done, rng)
         self.max_query_ios = max(
             self.max_query_ios, self.machine.stats.total - start_ios
         )

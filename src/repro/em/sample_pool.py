@@ -41,10 +41,15 @@ _EM_REFILLS = obs.counter("em.pool_refills", "Sample-pool refills (amortised cos
 
 
 class _EMSetEngineMixin(EngineSampler):
-    """Shared engine plumbing for the §8 set samplers (args=(), op→query)."""
+    """Shared engine plumbing for the §8 set samplers (args=(), op→query).
+
+    Not thread-safe: every query reads blocks through the simulated
+    machine, whose buffer pool and I/O counters it mutates, and the pool
+    samplers also move their pool cursors and refill at query time.
+    """
 
     engine_ops = {
-        "sample": EngineOp("query", takes_s=True, pass_rng=False),
+        "sample": EngineOp("query", takes_s=True, spawn=True),
     }
     engine_thread_safe = False
 
@@ -62,9 +67,9 @@ class _EMSetEngineMixin(EngineSampler):
             machine = EMMachine(block_size=block_size, memory_blocks=memory_blocks)
         return cls(machine, values, **params)
 
-    def sample(self, s: int) -> List:
+    def sample(self, s: int, *, rng: RNGLike = None) -> List:
         """Alias for ``query`` (protocol entry)."""
-        return self.query(s)
+        return self.query(s, rng=rng)
 
 
 class NaiveEMSetSampler(_EMSetEngineMixin):
@@ -80,12 +85,13 @@ class NaiveEMSetSampler(_EMSetEngineMixin):
     def __len__(self) -> int:
         return len(self._data)
 
-    def query(self, s: int) -> List:
-        """``s`` WR samples via ``s`` random accesses (≈ s I/Os cold)."""
+    def query(self, s: int, *, rng: RNGLike = None) -> List:
+        """``s`` WR samples via ``s`` random accesses (≈ s I/Os cold);
+        ``rng`` overrides the instance stream."""
         validate_sample_size(s)
         if obs.ENABLED:
             _EM_QUERIES.inc()
-        rng = self._rng
+        rng = self._rng if rng is None else rng
         n = len(self._data)
         return [self._data.get(int(rng.random() * n) % n) for _ in range(s)]
 
@@ -121,13 +127,14 @@ class SamplePoolSetSampler(_EMSetEngineMixin):
     def clean_samples_left(self) -> int:
         return self._pool_size - self._cursor
 
-    def _rebuild_pool(self) -> None:
-        """Refill the pool with fresh iid WR samples using the sort recipe."""
+    def _rebuild_pool(self, rng: RNGLike = None) -> None:
+        """Refill the pool with fresh iid WR samples using the sort recipe,
+        drawing from ``rng`` (the instance stream when ``None``)."""
         start_ios = self.machine.stats.total
         self.rebuild_count += 1
         if obs.ENABLED:
             _EM_REFILLS.inc()
-        rng = self._rng
+        rng = self._rng if rng is None else rng
         n = len(self._data)
 
         if self._pool is not None:
@@ -166,11 +173,12 @@ class SamplePoolSetSampler(_EMSetEngineMixin):
         self._cursor = 0
         self.rebuild_ios += self.machine.stats.total - start_ios
 
-    def query(self, s: int) -> List:
+    def query(self, s: int, *, rng: RNGLike = None) -> List:
         """``s`` WR samples by consuming the pool sequentially.
 
         Marks the returned entries dirty (never reused); rebuilds the pool
-        whenever it runs out mid-query, exactly as §8 prescribes.
+        whenever it runs out mid-query, exactly as §8 prescribes, drawing
+        the refill from ``rng`` (the instance stream when ``None``).
         """
         validate_sample_size(s)
         if obs.ENABLED:
@@ -180,7 +188,7 @@ class SamplePoolSetSampler(_EMSetEngineMixin):
         while len(result) < s:
             available = self._pool_size - self._cursor
             if available == 0:
-                self._rebuild_pool()
+                self._rebuild_pool(rng)
                 available = self._pool_size
             take = min(s - len(result), available)
             result.extend(self._pool.read_range(self._cursor, self._cursor + take))

@@ -71,7 +71,7 @@ from repro.engine.placement import (
 from repro.engine.protocol import QueryRequest, QueryResult, Sampler
 from repro.engine.registry import build
 from repro.errors import WorkerCrashedError
-from repro.substrates.rng import DEFAULT_SEED, derive_seed, ensure_rng
+from repro.substrates.rng import DEFAULT_SEED, derive_seed
 
 __all__ = ["BACKENDS", "PLACEMENTS", "SamplingEngine", "spec_token"]
 
@@ -516,9 +516,7 @@ class SamplingEngine:
         try:
             started = perf_counter() if enabled else 0.0
             try:
-                result = sampler.execute(
-                    request, rng=None if seed is None else ensure_rng(seed)
-                )
+                result = sampler.execute(request, rng=seed)
                 result.seed = seed
             except Exception as exc:
                 if self._errors == "raise":

@@ -16,16 +16,23 @@ contract for every structure): a non-int ``s`` is a :class:`TypeError`,
 :class:`~repro.errors.EmptyQueryError` — itself a :class:`ValueError` —
 exactly as the native ``sample(x, y, s)`` paths do.
 
-RNG override semantics: structures whose hot paths accept a per-call
-``rng`` (the §3.2/§4 range samplers) declare ``pass_rng=True`` ops and
-can execute concurrently, each request on its own stream. All other
-structures execute a seeded request under a re-seed of their *instance*
-generator (:func:`repro.substrates.rng.temporary_seed`) behind a global
-lock — correct, still deterministic per (state, seed), but serialized.
+RNG override semantics: every op method takes a keyword-only ``rng``
+(``None`` means the sampler's instance stream) and threads it into every
+draw it makes, embedded samplers and query-time refills included. A
+seeded request therefore runs one way on every structure,
+``method(*args, rng=...)``, on its own generator: the paper's eq. 1
+needs nothing more than that each query's output depend on its own
+randomness alone. An op's :attr:`EngineOp.spawn` bit only chooses which
+generator that is (see :class:`EngineOp`). Structures whose queries
+mutate instance state (pool cursors, rebuild epochs, counters) declare
+``engine_thread_safe = False``; their requests then run under a
+per-instance lock, so requests on one such sampler serialize while
+requests on different samplers still run concurrently.
 """
 
 from __future__ import annotations
 
+import random
 import threading
 import time
 from dataclasses import dataclass
@@ -44,7 +51,7 @@ from typing import (
 )
 
 from repro.errors import EmptyQueryError
-from repro.substrates.rng import ensure_rng
+from repro.substrates.rng import ensure_rng, spawn_rng
 
 __all__ = [
     "EngineOp",
@@ -209,15 +216,20 @@ class EngineOp(NamedTuple):
 
     ``method`` names the bound method implementing the op. Its call shape
     is ``method(*request.args, request.s)`` when ``takes_s`` (the common
-    case), else ``method(*request.args)``. ``pass_rng`` marks methods
-    accepting a keyword-only ``rng`` override — those run per-request
-    streams without touching shared generator state and are safe under
-    the engine's thread backend.
+    case), else ``method(*request.args)``; a seeded request adds the
+    keyword ``rng``, which every op method accepts.
+
+    ``spawn`` selects only *which* stream a seeded request's op draws
+    from, never how the op executes: ``False`` hands it the request's
+    generator itself, ``True`` a child generator seeded from 64 bits of
+    it (:func:`~repro.substrates.rng.spawn_rng`). The two give different
+    streams for the same seed, and the committed golden streams pin each
+    op's choice, so the bit stays per op.
     """
 
     method: str
     takes_s: bool = True
-    pass_rng: bool = False
+    spawn: bool = False
 
 
 @runtime_checkable
@@ -240,22 +252,17 @@ class Sampler(Protocol):
     def execute(self, request: QueryRequest, *, rng: Any = None) -> QueryResult: ...
 
 
-# One lock for every state-swap execution in the process: swap-based
-# samplers mutate their shared generator in place, so two concurrent
-# seeded requests on *any* pair of them must not interleave. Samplers
-# with pass_rng ops never take it.
-_SWAP_LOCK = threading.RLock()
-
-
 class EngineSampler:
     """Mixin implementing the engine protocol over a declarative op table.
 
     Subclasses set :data:`engine_ops` (op name → :class:`EngineOp`) and
     optionally :data:`engine_spec` (their registry key, stamped at
-    registration time) and :data:`engine_thread_safe` (``True`` when every
-    op is ``pass_rng`` and the structure's caches tolerate concurrent
-    readers, letting the engine's thread backend run requests on it in
-    parallel).
+    registration time) and :data:`engine_thread_safe`: ``True`` when a
+    query mutates no instance state, so the engine's thread backend may
+    run requests on one instance in parallel; ``False`` makes
+    :meth:`execute` hold a per-instance lock around the op (created on
+    first use in the instance ``__dict__``, so such subclasses must not
+    be slotted).
     """
 
     __slots__ = ()  # keep slotted subclasses (e.g. AliasSampler) slotted
@@ -264,7 +271,8 @@ class EngineSampler:
     engine_spec: ClassVar[Optional[str]] = None
     #: Op name -> EngineOp. Subclasses must override.
     engine_ops: ClassVar[Mapping[str, EngineOp]] = {}
-    #: Whether concurrent execute() calls with distinct rngs are safe.
+    #: Whether concurrent execute() calls on one instance are safe; when
+    #: ``False`` they serialize on a per-instance lock.
     engine_thread_safe: ClassVar[bool] = False
 
     @classmethod
@@ -314,13 +322,15 @@ class EngineSampler:
 
         ``rng`` overrides the stream for this request (seed, ``Random``,
         or ``None``); when ``None``, ``request.seed`` is consulted, and
-        failing that the sampler's instance stream is consumed. Errors
-        propagate — batch-level capture is the engine's job.
+        failing that the sampler's instance stream is consumed. A seed
+        builds a generator private to this request; a ``Random`` is
+        used (or, for ``spawn`` ops, advanced by 64 bits) as given.
+        Errors propagate — batch-level capture is the engine's job.
         """
         self.validate_request(request)
         seed = request.seed
-        if rng is None and seed is not None:
-            rng = ensure_rng(seed)
+        if rng is None:
+            rng = seed
         started = time.perf_counter()
         values = self._execute_op(request, rng)
         elapsed = time.perf_counter() - started
@@ -345,25 +355,24 @@ class EngineSampler:
         method = getattr(self, op.method)
         call_args = (*request.args, request.s) if op.takes_s else request.args
         if rng is None:
-            return method(*call_args)
-        rng = ensure_rng(rng)
-        if op.pass_rng:
-            return method(*call_args, rng=rng)
-        # No per-call rng hook: re-seed the instance's shared generator
-        # for the duration of the call. Correct for every alias of the
-        # generator object (see substrates.rng.temporary_seed) but
-        # mutually exclusive across threads, hence the global lock.
-        from repro.substrates.rng import temporary_seed
-
-        instance_rng = getattr(self, "_rng", None)
-        if instance_rng is None:
-            raise TypeError(
-                f"{type(self).__name__} has no RNG stream to override for a "
-                f"seeded request (op {request.op!r})"
-            )
-        with _SWAP_LOCK:
-            with temporary_seed(instance_rng, rng.getrandbits(64)):
-                return method(*call_args)
+            kwargs = {}
+        elif not op.spawn:
+            kwargs = {"rng": ensure_rng(rng)}
+        elif isinstance(rng, random.Random):
+            kwargs = {"rng": spawn_rng(rng)}
+        else:
+            # A seed: the generator built from it is this call's own, so
+            # re-seed it in place to the state spawn_rng would give.
+            own = ensure_rng(rng)
+            own.seed(own.getrandbits(64))
+            kwargs = {"rng": own}
+        if self.engine_thread_safe:
+            return method(*call_args, **kwargs)
+        lock = self.__dict__.get("_execute_lock")
+        if lock is None:  # setdefault: racing first requests share one lock
+            lock = self.__dict__.setdefault("_execute_lock", threading.Lock())
+        with lock:
+            return method(*call_args, **kwargs)
 
 
 class RangeQueryMixin(EngineSampler):
@@ -379,11 +388,9 @@ class RangeQueryMixin(EngineSampler):
     __slots__ = ()
 
     engine_ops: ClassVar[Mapping[str, EngineOp]] = {
-        "sample": EngineOp("sample", takes_s=True, pass_rng=True),
-        "sample_indices": EngineOp("sample_indices", takes_s=True, pass_rng=True),
-        "sample_wor": EngineOp(
-            "sample_without_replacement", takes_s=True, pass_rng=True
-        ),
+        "sample": EngineOp("sample"),
+        "sample_indices": EngineOp("sample_indices"),
+        "sample_wor": EngineOp("sample_without_replacement"),
     }
     engine_thread_safe: ClassVar[bool] = True
 

@@ -177,9 +177,7 @@ def _run_request(
     try:
         sampler = _resident(key, token)
         with obs.span("worker.execute", op=request.op):
-            result = sampler.execute(
-                request, rng=None if seed is None else ensure_rng(seed)
-            )
+            result = sampler.execute(request, rng=seed)
         result.seed = seed
     except Exception as exc:
         result = QueryResult(

@@ -24,6 +24,11 @@ Default-seed policy (the single place it is documented):
   its own independent stream by *seed-spawning*: request ``i`` of an
   engine seeded with ``seed`` uses :func:`derive_seed`\\ ``(seed, i)``
   unless the request carries an explicit per-request seed.
+* A seeded request never touches a sampler's instance generator: every
+  engine op takes a keyword ``rng`` and draws only from it, or from the
+  child :func:`spawn_rng` derives from it when the op is declared
+  ``EngineOp(spawn=True)``. ``rng=None`` on an op means the instance
+  stream, the unseeded standalone path.
 
 No sampler may fall back to the global :mod:`random` module or construct
 ``random.Random()`` locally; everything funnels through
@@ -32,9 +37,8 @@ No sampler may fall back to the global :mod:`random` module or construct
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 import random
-from typing import Iterator, List, Optional, Union
+from typing import List, Optional, Union
 
 RNGLike = Union[int, random.Random, None]
 
@@ -66,7 +70,8 @@ def spawn_rng(rng: random.Random, salt: Optional[int] = None) -> random.Random:
 
     Used when a composite structure (e.g. the chunked sampler of Theorem 3)
     wants sub-structures with their own streams while remaining fully
-    determined by the parent seed.
+    determined by the parent seed, and for the generator a seeded engine
+    request hands an ``EngineOp(spawn=True)`` op.
     """
     seed = rng.getrandbits(64)
     if salt is not None:
@@ -94,32 +99,3 @@ def derive_seed(master_seed: int, index: int) -> int:
 def spawn_seeds(master_seed: int, count: int) -> List[int]:
     """``count`` independent per-stream seeds derived from ``master_seed``."""
     return [derive_seed(master_seed, index) for index in range(count)]
-
-
-@contextmanager
-def temporary_seed(rng: random.Random, seed: int) -> Iterator[random.Random]:
-    """Run a block with ``rng`` re-seeded to ``seed``, then restore it.
-
-    Swaps the generator's *internal state* (not the attribute holding it),
-    so every structure sharing the object — e.g. a fair-NN index and its
-    embedded set-union sampler — sees the temporary stream. The cached
-    NumPy batch generator that :func:`repro.core.kernels.batch_generator`
-    hangs off the object is stashed and re-derived for the same reason.
-    Used by the engine protocol for samplers whose hot paths do not accept
-    a per-call ``rng`` override.
-    """
-    from repro.core import kernels  # deferred: kernels imports repro.obs only
-
-    saved_state = rng.getstate()
-    saved_generator = getattr(rng, kernels.GENERATOR_ATTR, None)
-    if saved_generator is not None:
-        delattr(rng, kernels.GENERATOR_ATTR)
-    rng.seed(seed)
-    try:
-        yield rng
-    finally:
-        rng.setstate(saved_state)
-        if saved_generator is not None:
-            setattr(rng, kernels.GENERATOR_ATTR, saved_generator)
-        elif hasattr(rng, kernels.GENERATOR_ATTR):
-            delattr(rng, kernels.GENERATOR_ATTR)

@@ -52,7 +52,7 @@ class FaultySampler(EngineSampler):
     """
 
     engine_ops: ClassVar[Mapping[str, EngineOp]] = {
-        "sample": EngineOp("draw", takes_s=True, pass_rng=True),
+        "sample": EngineOp("draw", takes_s=True),
     }
     engine_thread_safe: ClassVar[bool] = True
 

@@ -1,8 +1,8 @@
 """Backend-equivalence harness: all four backends, two agreement tiers.
 
 Tier 1 (byte-identical): structures whose request execution is a pure
-function of ``(structure, request, seed)`` — the ``pass_rng`` families
-plus the swap-locked stateless samplers — must produce *identical*
+function of ``(structure, request, seed)`` — every sampler whose
+queries leave no state behind — must produce *identical*
 batches under serial, thread, and process execution, because the engine
 spawns the same per-request seed stream regardless of backend and the
 process workers rebuild the same deterministic demo structure.

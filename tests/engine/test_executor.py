@@ -66,9 +66,10 @@ class TestBackends:
         assert [r.values for r in serial] == [r.values for r in threaded]
         assert [r.seed for r in serial] == [r.seed for r in threaded]
 
-    def test_thread_backend_on_swap_locked_sampler(self):
-        # Set-union has no per-call rng: requests serialize on the swap
-        # lock but stay correct and seed-deterministic per (state, seed).
+    def test_thread_backend_on_locked_sampler(self):
+        # Set-union queries mutate its counters and rebuild epochs: requests
+        # serialize on its per-instance lock but stay correct and
+        # seed-deterministic per (state, seed).
         family = [list(range(i, i + 20)) for i in range(0, 60, 10)]
         requests = [
             QueryRequest(op="sample", args=([0, 2, 4],), s=1) for _ in range(12)

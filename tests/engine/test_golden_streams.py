@@ -17,15 +17,19 @@ The capture uses only long-stable public entry points (``demo_build``,
 unchanged before and after the refactor — that is what makes the file a
 pre/post byte-identity oracle rather than a self-fulfilling snapshot.
 
-Streams are tier-sensitive only above the batch cutoffs; every capture
-leg keeps ``s`` below ``kernels.BATCH_MIN_SIZE`` so the goldens hold on
-the scalar fallback (``REPRO_DISABLE_NUMPY=1``) too — asserted by the
-CI matrix, which runs this module under both tiers. The one structure
-whose *internal* draws cross the cutoff regardless of the query's ``s``
-(the EM sampler's pool refill splits a full pool multinomially) gets a
-scalar-tier variant captured alongside, stored under a ``@scalar`` leg
-suffix; ``--regen`` discovers such legs automatically by re-running the
-capture in a ``REPRO_DISABLE_NUMPY=1`` subprocess and diffing.
+Streams are tier-sensitive only above the batch cutoffs. Every capture
+leg but ``bulk`` keeps ``s`` below ``kernels.BATCH_MIN_SIZE`` so its
+goldens hold on the scalar fallback (``REPRO_DISABLE_NUMPY=1``) too —
+asserted by the CI matrix, which runs this module under both tiers. The
+``bulk`` leg deliberately sits between ``BATCH_MIN_SIZE`` and
+``JIT_MIN_SIZE``: it pins the numpy batch rung, and at demo size it
+reaches the query-time state changes the small legs miss (EM pool
+refills, set-union rebuilds). Legs whose draws differ by tier — the
+bulk leg, and the EM sampler's pool refill, which splits a full pool
+multinomially whatever the query's ``s`` — get a scalar-tier variant
+captured alongside, stored under a ``@scalar`` leg suffix; ``--regen``
+discovers such legs automatically by re-running the capture in a
+``REPRO_DISABLE_NUMPY=1`` subprocess and diffing.
 """
 
 from __future__ import annotations
@@ -50,6 +54,10 @@ DIRECT_SEED = 7
 #: tier-independent.
 BATCH_S = 5
 DIRECT_S = 8
+#: Draws per request of the ``bulk`` leg: above kernels.BATCH_MIN_SIZE
+#: (16) and below kernels.JIT_MIN_SIZE (256), so it runs the numpy batch
+#: rung where numpy is present and is tier-independent of numba.
+BULK_S = 64
 #: Requests per batched leg.
 BATCH_REQUESTS = 3
 #: Shard counts for the sharded-placement legs (the acceptance K set).
@@ -61,28 +69,28 @@ def _normalize(values):
     return json.loads(json.dumps(values))
 
 
-def _batch(template: QueryRequest):
+def _batch(template: QueryRequest, s: int = BATCH_S):
     return [
-        QueryRequest(op=template.op, args=template.args, s=BATCH_S)
+        QueryRequest(op=template.op, args=template.args, s=s)
         for _ in range(BATCH_REQUESTS)
     ]
 
 
-def _run_serial(spec: str):
+def _run_serial(spec: str, s: int = BATCH_S):
     sampler, template = demo_build(spec)
     engine = SamplingEngine(backend="serial", seed=ENGINE_SEED)
     try:
-        results = engine.run(sampler, _batch(template))
+        results = engine.run(sampler, _batch(template, s))
         return [_normalize(result.unwrap()) for result in results]
     finally:
         engine.close()
 
 
-def _run_thread(spec: str):
+def _run_thread(spec: str, s: int = BATCH_S):
     sampler, template = demo_build(spec)
     engine = SamplingEngine(backend="thread", seed=ENGINE_SEED, max_workers=4)
     try:
-        results = engine.run(sampler, _batch(template))
+        results = engine.run(sampler, _batch(template, s))
         return [_normalize(result.unwrap()) for result in results]
     finally:
         engine.close()
@@ -118,6 +126,7 @@ def capture() -> dict:
         legs = {
             "serial": _run_serial(spec),
             "direct": _run_direct(spec),
+            "bulk": _run_serial(spec, BULK_S),
         }
         probe, _ = demo_build(spec)
         if ShardedSampler.supports(probe):
@@ -175,6 +184,16 @@ def test_thread_backend_matches_golden(spec):
     # Not a separate stored leg: the thread backend must be
     # byte-identical to serial, so it checks against the same golden.
     assert _run_thread(spec) == _leg(spec, "serial")
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_bulk_stream_matches_golden(spec):
+    assert _run_serial(spec, BULK_S) == _leg(spec, "bulk")
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_thread_bulk_matches_golden(spec):
+    assert _run_thread(spec, BULK_S) == _leg(spec, "bulk")
 
 
 @pytest.mark.parametrize(
