@@ -164,6 +164,9 @@ class SampledTable(EngineSampler):
             drawn = index.sampler.sample_span(span_lo, span_hi, s, rng=rng)
             return [rows[positions[i]] for i in drawn]
 
+        if rng is not None:
+            # Seed once: every rejection round must continue one stream.
+            rng = ensure_rng(rng)
         result: List[Row] = []
         rejects = 0
         while len(result) < s:

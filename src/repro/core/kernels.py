@@ -211,16 +211,23 @@ def uniform_index_batch(lo: int, hi: int, size: int, gen: "np.random.Generator")
     return gen.integers(lo, hi, size=size)
 
 
+def multinomial_counts(prob: Any, s: int, gen: "np.random.Generator") -> List[int]:
+    """Split ``s`` draws across parts with normalized probabilities
+    ``prob`` (§4.1) in one kernel call.
+
+    Equal in distribution to drawing ``s`` categorical part indices and
+    counting them, which is what the scalar path does. Callers that split
+    over the same parts repeatedly normalize once and keep ``prob``.
+    """
+    return gen.multinomial(s, prob).tolist()
+
+
 def multinomial_split_batch(
     weights: Sequence[float], s: int, gen: "np.random.Generator"
 ) -> List[int]:
-    """Split ``s`` draws across weighted parts (§4.1) in one kernel call.
-
-    Equal in distribution to drawing ``s`` categorical part indices and
-    counting them, which is what the scalar path does.
-    """
+    """:func:`multinomial_counts` over raw part weights (normalized here)."""
     w = np.asarray(weights, dtype=np.float64)
-    return gen.multinomial(s, w / w.sum()).tolist()
+    return multinomial_counts(w / w.sum(), s, gen)
 
 
 def bst_topdown_batch(
@@ -692,6 +699,7 @@ __all__ = [
     "alias_draw_batch",
     "inverse_cdf_draw_batch",
     "uniform_index_batch",
+    "multinomial_counts",
     "multinomial_split_batch",
     "bst_topdown_batch",
     "offset_concat_batch",

@@ -47,7 +47,7 @@ class NaiveRangeSampler(RangeSamplerBase):
         reported_weights = list(self.weights[lo:hi])
         # "Sample" step: weighted draws from the reported set.
         prob, alias = build_alias_tables(reported_weights)
-        rng = self._rng if rng is None else rng
+        rng = self._rng if rng is None else ensure_rng(rng)
         return [lo + alias_draw(prob, alias, rng) for _ in range(s)]
 
     def report(self, x: float, y: float) -> List[float]:

@@ -13,9 +13,14 @@ explicit:
     canonical cover spans, the per-span weights (the budget hints a
     multinomial split consumes), a sampler-kind tag, the cache key, and
     an opaque sampler-specific payload holding resolved draw state
-    (alias tables, node entries). ``portable()`` strips the payload down
-    to plain data that can cross a process boundary, so a parent can
-    plan once and ship the plan to shard executions.
+    (alias tables, node entries, the prepared part split, and for a
+    Theorem-3 plan the T_chunk sub-plan of its chunk-aligned middle).
+    The payload is the whole draw state, so a query makes one store
+    lookup and a span takes one store entry; state that only a draw
+    needs is filled into one-slot memos on the first execute.
+    ``portable()`` strips the payload down to plain data that can cross
+    a process boundary, so a parent can plan once and ship the plan to
+    shard executions.
 
 ``PlanStore``
     A bounded LRU shared by *many* samplers, keyed by structure
@@ -123,9 +128,12 @@ class QueryPlan:
         sample budget ``s`` consumes at execution time.
     payload:
         Sampler-specific resolved draw state (alias tables, node
-        entries, fan-out rows). Opaque to everything but the owning
-        sampler's ``execute_plan``; may hold live object references and
-        is therefore **not** shipped across processes.
+        entries, prepared splits, nested sub-plans, fan-out rows).
+        Opaque to everything but the owning sampler's ``execute_plan``;
+        may hold live object references and is therefore **not**
+        shipped across processes. Memo slots inside it are filled by
+        assigning values that depend only on the structure and the
+        span, so a cached plan is safe to execute from many threads.
     hint:
         Plain-data summary of the decomposition (cover node ids, part
         ranges) sufficient for the owning sampler *class* to rebuild the

@@ -28,7 +28,7 @@ from repro import obs
 from repro.core import kernels
 from repro.core.alias import AliasTables, alias_draw, build_alias_tables
 from repro.core.planner import QueryPlan, plan_scope
-from repro.core.schemes import multinomial_split
+from repro.core.schemes import PreparedSplit
 from repro.engine.protocol import RangeQueryMixin
 from repro.errors import BuildError, EmptyQueryError
 from repro.substrates.bst import NO_CHILD, StaticBST
@@ -78,8 +78,9 @@ class RangeSamplerBase(RangeQueryMixin):
     op ``"sample"`` / ``"sample_indices"`` / ``"sample_wor"`` and
     ``args=(x, y)`` dispatch to the methods below, and every query method
     accepts a keyword-only ``rng`` override so a batch executor can run
-    each request on its own independent stream (``None`` keeps the
-    instance stream — the byte-identical legacy behaviour).
+    each request on its own independent stream: a ``random.Random``, or
+    an int seed that becomes the call's own generator (``None`` keeps
+    the instance stream — the byte-identical legacy behaviour).
 
     Planful subclasses (``plan_kind`` set) additionally implement the
     plan → execute split: :meth:`plan_span` returns a deterministic
@@ -145,7 +146,8 @@ class RangeSamplerBase(RangeQueryMixin):
 
         ``rng`` overrides the instance stream for this call (used by the
         engine to give each batched request its own independent stream);
-        ``None`` consumes the instance stream as always.
+        an int seeds a generator for this call alone, and ``None``
+        consumes the instance stream as always.
 
         Raises :class:`EmptyQueryError` when the interval holds no keys.
         """
@@ -172,6 +174,8 @@ class RangeSamplerBase(RangeQueryMixin):
         lo, hi = self.span_of(x, y)
         if lo >= hi:
             raise EmptyQueryError(f"no keys in [{x}, {y}]")
+        if rng is not None:
+            rng = ensure_rng(rng)  # an int seed becomes this call's stream
         if obs.ENABLED:
             with obs.span(
                 "range.query", structure=type(self).__name__, s=s, span=hi - lo
@@ -214,8 +218,15 @@ class RangeSamplerBase(RangeQueryMixin):
         Exposed separately because tree sampling (§5) reduces subtree
         queries to *index-range* queries over the DFS leaf order
         (Proposition 1), where the range is known without key search.
+        For planful samplers this is the validating compose of
+        :meth:`plan_span` and :meth:`execute_plan`.
         """
-        raise NotImplementedError
+        validate_sample_size(s)
+        if lo >= hi:
+            raise EmptyQueryError("empty index range")
+        if rng is not None:
+            rng = ensure_rng(rng)
+        return self.execute_plan(self.plan_span(lo, hi), s, rng=rng)
 
     # -- plan → execute split (planful subclasses) ---------------------
 
@@ -402,14 +413,6 @@ class TreeWalkRangeSampler(RangeSamplerBase):
             payload=(cover, prob, alias, [None]),
             hint=tuple(cover),
         )
-
-    def sample_span(
-        self, lo: int, hi: int, s: int, rng: RNGLike = None
-    ) -> List[int]:
-        validate_sample_size(s)
-        if lo >= hi:
-            raise EmptyQueryError("empty index range")
-        return self.execute_plan(self.plan_span(lo, hi), s, rng=rng)
 
     def execute_plan(
         self, plan: QueryPlan, s: int, rng: RNGLike = None
@@ -602,7 +605,10 @@ class AliasAugmentedRangeSampler(RangeSamplerBase):
     def _build_plan(self, lo: int, hi: int, hint: Any = None) -> QueryPlan:
         """The Lemma-2 plan for ``[lo, hi)``.
 
-        The payload is ``(cover_weights, entries)`` where each entry is
+        The payload is ``(split, entries)``: ``split`` is the
+        :class:`~repro.core.schemes.PreparedSplit` over the cover weights
+        (its tier state is resolved on the first draw and kept, and
+        threads racing that draw build equal values), and each entry is
         ``(node, node_lo, tables_or_None)`` — ``None`` marks a leaf.
         Resolving spans and tables at plan time keeps the warm-cache query
         path free of per-node tree lookups. The hint is the cover node
@@ -618,28 +624,17 @@ class AliasAugmentedRangeSampler(RangeSamplerBase):
             spans.append((node_lo, node_hi))
             tables = None if tree.is_leaf(node) else self._node_table(node)
             entries.append((node, node_lo, tables))
-        cover_weights = [tree.node_weight(u) for u in cover]
+        cover_weights = tuple(tree.node_weight(u) for u in cover)
         return QueryPlan(
             self.plan_kind,
             (lo, hi),
             spans=tuple(spans),
-            weights=tuple(cover_weights),
-            payload=(cover_weights, entries),
+            weights=cover_weights,
+            payload=(PreparedSplit(cover_weights), entries),
             hint=tuple(cover),
         )
 
-    def sample_span(
-        self, lo: int, hi: int, s: int, rng: RNGLike = None
-    ) -> List[int]:
-        validate_sample_size(s)
-        if lo >= hi:
-            raise EmptyQueryError("empty index range")
-        return self.execute_plan(self.plan_span(lo, hi), s, rng=rng)
-
     def _draw_span(self, lo: int, hi: int, s: int, rng: RNGLike):
-        validate_sample_size(s)
-        if lo >= hi:
-            raise EmptyQueryError("empty index range")
         return self._draw(self.plan_span(lo, hi), s, rng)
 
     def execute_plan(
@@ -663,10 +658,11 @@ class AliasAugmentedRangeSampler(RangeSamplerBase):
         if enabled:
             _L2_QUERIES.inc()
             _L2_DRAWS.add(s)
-        cover_weights, entries = plan.payload
-        counts = multinomial_split(cover_weights, s, rng)
+        split, entries = plan.payload
+        counts = split.counts(s, rng)
         batched = kernels.use_batch(s)
         gen = kernels.batch_generator(rng) if batched else None
+        random = rng.random
         parts: list = []
         kernel_parts = False
         probes = 0
@@ -688,10 +684,18 @@ class AliasAugmentedRangeSampler(RangeSamplerBase):
                 parts.append(draws + node_lo)
                 kernel_parts = True
             else:
+                # alias_draw, inlined: the same two random() calls per draw.
                 prob, alias = tables
-                parts.append(
-                    [int(node_lo + alias_draw(prob, alias, rng)) for _ in range(count)]
-                )
+                n = len(prob)
+                part = []
+                for _ in range(count):
+                    urn = int(random() * n)
+                    if urn == n:
+                        urn = n - 1
+                    part.append(
+                        int(node_lo + (urn if random() < prob[urn] else alias[urn]))
+                    )
+                parts.append(part)
         if enabled and probes:
             _L2_PROBES.add(probes)
         if kernel_parts:
@@ -785,9 +789,10 @@ class ChunkedRangeSampler(RangeSamplerBase):
         # Range-sum structure of §4.2 over chunk weights.
         self._chunk_sums = FenwickTree(chunk_weights)
         # T_chunk: Lemma-2 structure over the chunk-level weighted set,
-        # keyed by chunk index.
+        # keyed by chunk index. Its plans live inside this sampler's
+        # chunked plans, so it keeps no plan store of its own.
         self._t_chunk = AliasAugmentedRangeSampler(
-            list(range(g)), chunk_weights, rng=self._rng
+            list(range(g)), chunk_weights, rng=self._rng, plan_cache_size=0
         )
         self.plan_cache = plan_scope(self.plan_kind, plan_cache_size)
 
@@ -871,15 +876,13 @@ class ChunkedRangeSampler(RangeSamplerBase):
         return [*build_alias_tables(self.weights[lo:hi]), [None]]
 
     def _sample_partial(
-        self, lo: int, hi: int, count: int, tables=None, rng: RNGLike = None
+        self, lo: int, tables: list, count: int, rng: RNGLike
     ) -> List[int]:
-        """Draw from a partial chunk via an on-the-fly alias structure."""
-        if tables is None:
-            tables = self._partial_plan(lo, hi)
+        """Draw from a partial chunk starting at ``lo`` via its
+        on-the-fly alias structure ``tables`` (:meth:`_partial_plan`)."""
         if obs.ENABLED:
             _CH_TOUCHES.inc()  # a partial part touches exactly one chunk
         prob, alias, np_slot = tables
-        rng = self._rng if rng is None else rng
         if kernels.use_batch(count):
             gen = kernels.batch_generator(rng)
             if np_slot[0] is None:
@@ -890,13 +893,22 @@ class ChunkedRangeSampler(RangeSamplerBase):
         return [int(lo + alias_draw(prob, alias, rng)) for _ in range(count)]
 
     def _sample_chunk_aligned(
-        self, chunk_lo: int, chunk_hi: int, count: int, rng: RNGLike = None
+        self, chunk_lo: int, chunk_hi: int, sub_slot: list, count: int, rng: RNGLike
     ) -> List[int]:
-        """Two-level sampling over fully covered chunks (§4.2)."""
-        rng = self._rng if rng is None else rng
-        chunk_draws = self._t_chunk.sample_span(chunk_lo, chunk_hi, count, rng=rng)
+        """Two-level sampling over fully covered chunks (§4.2).
+
+        ``count`` chunks are drawn through T_chunk from the sub-plan in
+        ``sub_slot`` (T_chunk's Lemma-2 plan over ``[chunk_lo,
+        chunk_hi)``, built here on first use), then one element inside
+        each drawn chunk.
+        """
+        t_chunk = self._t_chunk
+        sub_plan = sub_slot[0]
+        if sub_plan is None:
+            sub_plan = sub_slot[0] = t_chunk._build_plan(chunk_lo, chunk_hi)
+        chunk_draws = t_chunk._draw(sub_plan, count, rng)
         if kernels.use_batch(count):
-            return self._chunk_level_batch(chunk_draws, rng=rng)
+            return self._chunk_level_batch(chunk_draws, rng)
         per_chunk: dict = {}
         for chunk in chunk_draws:
             per_chunk[chunk] = per_chunk.get(chunk, 0) + 1
@@ -911,10 +923,9 @@ class ChunkedRangeSampler(RangeSamplerBase):
             )
         return result
 
-    def _chunk_level_batch(
-        self, chunk_draws: List[int], rng: RNGLike = None
-    ) -> List[int]:
-        """Resolve a batch of chunk draws to element indices in one pass.
+    def _chunk_level_batch(self, chunk_draws, rng: RNGLike) -> List[int]:
+        """Resolve a batch of chunk draws (an ``intp`` array or a list, as
+        T_chunk drew them) to element indices in one pass.
 
         All per-chunk alias tables are packed into ``g × chunk_size``
         matrices (built lazily, O(n) space — the structure is already
@@ -924,7 +935,7 @@ class ChunkedRangeSampler(RangeSamplerBase):
         """
         np = kernels.np
         prob_mat, alias_mat, lengths, starts = self._ensure_chunk_matrix()
-        gen = kernels.batch_generator(self._rng if rng is None else rng)
+        gen = kernels.batch_generator(rng)
         chunks = np.asarray(chunk_draws, dtype=np.intp)
         if obs.ENABLED:
             # np.unique is an enabled-only cost: the distinct-chunk count
@@ -932,24 +943,36 @@ class ChunkedRangeSampler(RangeSamplerBase):
             # bound charges for.
             _CH_TOUCHES.add(int(np.unique(chunks).size))
         count = len(chunks)
-        urns = np.minimum(
-            (gen.random(count) * lengths[chunks]).astype(np.intp), lengths[chunks] - 1
-        )
+        sizes = lengths[chunks]
+        urns = np.minimum((gen.random(count) * sizes).astype(np.intp), sizes - 1)
         keep = gen.random(count) < prob_mat[chunks, urns]
         picks = np.where(keep, urns, alias_mat[chunks, urns])
         return (starts[chunks] + picks).tolist()
 
     def _build_plan(self, lo: int, hi: int, hint: Any = None) -> QueryPlan:
-        """The Figure-2 plan for ``[lo, hi)``: the payload is a list of
-        ``(kind, p_lo, p_hi, weight, partial_tables)`` parts.
+        """The Figure-2 plan for ``[lo, hi)``.
+
+        The payload is ``(split, parts)``: ``split`` is the
+        :class:`~repro.core.schemes.PreparedSplit` over the part weights,
+        and each part is ``(kind, p_lo, p_hi, weight, slot)``. A partial
+        part's slot holds its on-the-fly alias tables; the ``"mid"``
+        part's slot is a one-element list that holds its T_chunk
+        sub-plan, built on the plan's first draw (under sharded ×
+        process the parent only plans, so it never builds one). A query
+        therefore draws from one resolved plan, fetched with one store
+        lookup. Every memo slot (the sub-plan, the split's tier state,
+        the numpy table views) is filled by one assignment of a value
+        that depends only on the structure and the span, so threads
+        racing a cached plan's first execute build equal values and need
+        no lock.
 
         Plan construction (split, part weights, partial-chunk alias
         tables) consumes no randomness, so a cache hit changes nothing
         about the query's output distribution — it only skips the
         O(log n) setup work on repeated spans. The hint carries the
-        non-empty part ranges; part weights and the partial-chunk alias
-        tables are resolved locally from them (the tables are views into
-        this instance, not shippable data).
+        non-empty part ranges; part weights, the partial-chunk alias
+        tables and the T_chunk sub-plan are resolved locally from them
+        (they are views into this instance, not shippable data).
         """
         if hint is not None:
             ranges = list(hint)
@@ -966,26 +989,19 @@ class ChunkedRangeSampler(RangeSamplerBase):
         for kind, p_lo, p_hi in ranges:
             if kind == "mid":
                 weight = self._chunk_sums.range_sum(p_lo, p_hi)
-                parts.append(("mid", p_lo, p_hi, weight, None))
+                parts.append(("mid", p_lo, p_hi, weight, [None]))
             else:
                 weight = sum(self.weights[p_lo:p_hi])
                 parts.append((kind, p_lo, p_hi, weight, self._partial_plan(p_lo, p_hi)))
+        weights = tuple(weight for _, _, _, weight, _ in parts)
         return QueryPlan(
             self.plan_kind,
             (lo, hi),
             spans=tuple((p_lo, p_hi) for _, p_lo, p_hi, _, _ in parts),
-            weights=tuple(weight for _, _, _, weight, _ in parts),
-            payload=parts,
+            weights=weights,
+            payload=(PreparedSplit(weights), parts),
             hint=tuple((kind, p_lo, p_hi) for kind, p_lo, p_hi, _, _ in parts),
         )
-
-    def sample_span(
-        self, lo: int, hi: int, s: int, rng: RNGLike = None
-    ) -> List[int]:
-        validate_sample_size(s)
-        if lo >= hi:
-            raise EmptyQueryError("empty index range")
-        return self.execute_plan(self.plan_span(lo, hi), s, rng=rng)
 
     def execute_plan(
         self, plan: QueryPlan, s: int, rng: RNGLike = None
@@ -994,24 +1010,21 @@ class ChunkedRangeSampler(RangeSamplerBase):
             _CH_QUERIES.inc()
             _CH_DRAWS.add(s)
         rng = self._rng if rng is None else rng
-        parts = plan.payload
-
+        split, parts = plan.payload
         if len(parts) == 1:
-            kind, p_lo, p_hi, _, tables = parts[0]
-            if kind == "mid":
-                return self._sample_chunk_aligned(p_lo, p_hi, s, rng=rng)
-            return self._sample_partial(p_lo, p_hi, s, tables, rng=rng)
-
-        counts = multinomial_split([part[3] for part in parts], s, rng)
+            return self._sample_part(parts[0], s, rng)
         result: List[int] = []
-        for (kind, p_lo, p_hi, _, tables), count in zip(parts, counts):
-            if count == 0:
-                continue
-            if kind == "mid":
-                result.extend(self._sample_chunk_aligned(p_lo, p_hi, count, rng=rng))
-            else:
-                result.extend(self._sample_partial(p_lo, p_hi, count, tables, rng=rng))
+        for part, count in zip(parts, split.counts(s, rng)):
+            if count:
+                result.extend(self._sample_part(part, count, rng))
         return result
+
+    def _sample_part(self, part: tuple, count: int, rng: RNGLike) -> List[int]:
+        """Draw ``count`` indices from one Figure-2 part of a plan."""
+        kind, p_lo, p_hi, _, slot = part
+        if kind == "mid":
+            return self._sample_chunk_aligned(p_lo, p_hi, slot, count, rng)
+        return self._sample_partial(p_lo, slot, count, rng)
 
     def space_words(self) -> int:
         # One prob + one alias word per element across all chunk tables

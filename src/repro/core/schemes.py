@@ -8,7 +8,12 @@ conversions:
   ``O(s)`` time (§2, citing [19]): :func:`wr_from_wor`;
 * ``s`` draws split across ``t`` disjoint parts by drawing ``s`` weighted
   part indices (the "determine how many samples to take from each S(u_i)"
-  step of §4.1): :func:`multinomial_split`.
+  step of §4.1): :class:`PreparedSplit`, one split routine whose
+  per-weights state (validated weights, normalized numpy probabilities,
+  scalar-tier part alias tables) is resolved once and kept. Query plans
+  hold one for their cover, so a repeated span splits without redoing
+  that work; :func:`multinomial_split` is the same routine applied to
+  fresh weights.
 
 Also provided: Floyd's algorithm for uniform WoR index sampling and a
 collision-rejection WoR wrapper usable with any WR sampler.
@@ -16,38 +21,98 @@ collision-rejection WoR wrapper usable with any WR sampler.
 
 from __future__ import annotations
 
+import random
 from typing import Callable, Hashable, List, Optional, Sequence, Set, TypeVar
 
+from repro import obs
 from repro.core import kernels
-from repro.core.alias import AliasSampler
-from repro.errors import EmptyQueryError, SampleBudgetExceededError
+from repro.core.alias import AliasTables, build_alias_tables
+from repro.errors import BuildError, EmptyQueryError, SampleBudgetExceededError
 from repro.substrates.rng import RNGLike, ensure_rng
 from repro.validation import validate_sample_size, validate_weights
 
 T = TypeVar("T", bound=Hashable)
 
 
+#: The split's scalar part draws are Theorem-1 alias draws.
+_ALIAS_DRAWS = obs.counter("alias.draws")
+
+
+class PreparedSplit:
+    """The §4.1 split of ``s`` draws over fixed part weights.
+
+    :meth:`counts` returns ``s_1..s_t`` with ``sum(s_i) == s``, where each
+    of the ``s`` draws independently lands in part ``i`` with probability
+    ``w_i / sum(w)``: the paper's alias structure over the parts, built
+    in ``O(t)``, then ``s`` part draws in ``O(s)``. Above the batch
+    cutoff the numpy tier draws the same counts in one multinomial call.
+
+    Each tier's state is resolved on its first use and kept: the numpy
+    tier's normalized probabilities, the scalar tier's part alias tables
+    (built the way :class:`~repro.core.alias.AliasSampler` builds its
+    tables, so the draws are the ones an ``AliasSampler`` over the parts
+    makes). Invalid or empty weights raise on the first split, before
+    any randomness is consumed. A state slot is filled by one assignment
+    of a value that depends only on the weights, so threads racing a
+    first split build equal values and need no lock.
+    """
+
+    __slots__ = ("weights", "_prob", "_tables")
+
+    def __init__(self, weights: Sequence[float]):
+        self.weights = weights
+        self._prob = None
+        self._tables: Optional[AliasTables] = None
+
+    def counts(self, s: int, rng: random.Random) -> List[int]:
+        """Split ``s >= 1`` draws, consuming randomness from ``rng``."""
+        weights = self.weights
+        if kernels.use_batch(s) and len(weights) > 0:
+            prob = self._prob
+            if prob is None:
+                cleaned = validate_weights(weights, context="multinomial_split")
+                w = kernels.np.asarray(cleaned, dtype=kernels.np.float64)
+                prob = self._prob = w / w.sum()
+            return kernels.multinomial_counts(prob, s, kernels.batch_generator(rng))
+        tables = self._tables
+        if tables is None:
+            tables = self._tables = _part_tables(weights)
+        if obs.ENABLED:
+            _ALIAS_DRAWS.add(s)
+        prob, alias = tables
+        n = len(prob)
+        counts = [0] * n
+        draw = rng.random
+        for _ in range(s):
+            # alias_draw, inlined: the same two random() calls per draw.
+            urn = int(draw() * n)
+            if urn == n:
+                urn = n - 1
+            counts[urn if draw() < prob[urn] else alias[urn]] += 1
+        return counts
+
+
+def _part_tables(weights: Sequence[float]) -> AliasTables:
+    """Scalar-tier part tables, with ``AliasSampler``'s checks and builder."""
+    if len(weights) == 0:
+        raise BuildError("AliasSampler requires a non-empty item set")
+    cleaned = validate_weights(weights, context="AliasSampler")
+    if kernels.use_batch_build(len(cleaned)):
+        np_prob, np_alias = kernels.build_alias_tables_batch(cleaned)
+        return np_prob.tolist(), np_alias.tolist()
+    return build_alias_tables(cleaned)
+
+
 def multinomial_split(weights: Sequence[float], s: int, rng: RNGLike = None) -> List[int]:
     """Split ``s`` draws across parts with the given weights.
 
-    Returns counts ``s_1..s_t`` with ``sum(s_i) == s`` where each of the
-    ``s`` draws independently lands in part ``i`` with probability
-    ``w_i / sum(w)``. This is the §4.1 step implemented exactly as the
-    paper describes: build an alias structure on the parts in ``O(t)`` and
-    draw ``s`` part samples in ``O(s)``.
+    Returns counts ``s_1..s_t`` with ``sum(s_i) == s``, each draw landing
+    in part ``i`` with probability ``w_i / sum(w)``: a
+    :class:`PreparedSplit` over fresh weights, used once.
     """
     validate_sample_size(s)
     generator = ensure_rng(rng)
-    if kernels.use_batch(s) and len(weights) > 0:
-        cleaned = validate_weights(weights, context="multinomial_split")
-        return kernels.multinomial_split_batch(
-            cleaned, s, kernels.batch_generator(generator)
-        )
-    alias = AliasSampler(list(range(len(weights))), weights, rng=generator)
-    counts = [0] * len(weights)
-    for part in alias.sample_indices(s):
-        counts[part] += 1
-    return counts
+    return PreparedSplit(weights).counts(s, generator)
 
 
 def uniform_indices_without_replacement(
@@ -171,6 +236,7 @@ def wr_from_wor(
 
 
 __all__ = [
+    "PreparedSplit",
     "multinomial_split",
     "uniform_indices_without_replacement",
     "sample_without_replacement",

@@ -32,6 +32,9 @@ list of :class:`~repro.engine.protocol.QueryResult`:
   sharded placement it keeps **one shard resident per worker**,
   shipped once via shared memory, with per-request traffic a few ints
   per shard. docs/ARCHITECTURE.md has the placement × execution matrix.
+  A sampler whose queries mutate its state (``engine_thread_safe =
+  False``) runs a thread-backend batch in submission order, so its
+  outputs match the serial backend's.
 * **Error capture.** Per-request failures (empty interval, bad ``s``, a
   worker process dying mid-batch) are caught into ``result.error``
   instead of poisoning the batch; ``errors="raise"`` restores fail-fast
@@ -483,6 +486,10 @@ class SamplingEngine:
     ) -> List[QueryResult]:
         # Under the sharded placement requests run in submission order
         # and the parallelism lives *inside* each request's shard fan-out.
+        # So do requests on a sampler whose queries mutate its state
+        # (rebuild epochs, pool cursors): pool threads would take its
+        # lock in any order, and the thread backend must replay the
+        # serial stream.
         view = self._view(sampler)
         spec = getattr(view, "engine_spec", None) or type(view).__name__
         jobs = list(zip(batch, seeds))
@@ -491,6 +498,7 @@ class SamplingEngine:
             and self.execution == "thread"
             and len(jobs) > 1
             and self.max_workers > 1
+            and getattr(view, "engine_thread_safe", True)
         ):
             return list(
                 self._ensure_threads().map(

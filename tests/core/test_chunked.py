@@ -1,7 +1,12 @@
 """Internals of the Theorem-3 chunked structure, incl. the Figure-2 split."""
 
+import random
+import sys
+import threading
+
 import pytest
 
+from repro.core import kernels
 from repro.core.range_sampler import ChunkedRangeSampler
 from repro.errors import BuildError
 from repro.stats.tests import chi_square_weighted_pvalue
@@ -116,3 +121,58 @@ class TestDistributionAcrossSplit:
         samples = sampler.sample(0.0, 29.0, 30_000)
         target = {float(i): 1.0 for i in range(30)}
         assert chi_square_weighted_pvalue(samples, target) > ALPHA
+
+
+class TestPlanMemoRace:
+    """A chunked plan fills its memo slots (the T_chunk sub-plan, the
+    prepared splits' tier state, numpy table views) on its first
+    execute, without a lock. Two threads racing that first execute must
+    each draw exactly what a serial run of an equal plan draws."""
+
+    N = 1 << 12
+    S = 64
+    SPANS = [(5, 3001), (100, 2000), (13, 4090), (700, 1500)]
+
+    @pytest.mark.parametrize("numpy_tier", [True, False])
+    def test_racing_first_execute_matches_serial(self, numpy_tier, monkeypatch):
+        if not numpy_tier:
+            monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
+        elif not kernels.HAVE_NUMPY:
+            pytest.skip("numpy tier unavailable")
+        sampler = make(self.N, weights=[1.0 + (i % 9) for i in range(self.N)])
+        for round_, (lo, hi) in enumerate(self.SPANS):
+            seeds = (2 * round_ + 1, 2 * round_ + 2)
+            reference = sampler._build_plan(lo, hi)
+            expected = [
+                sampler.execute_plan(reference, self.S, random.Random(seed))
+                for seed in seeds
+            ]
+            plan = sampler._build_plan(lo, hi)
+            barrier = threading.Barrier(2)
+            got = [None, None]
+
+            def run(slot, seed):
+                rng = random.Random(seed)
+                barrier.wait(timeout=30)
+                got[slot] = sampler.execute_plan(plan, self.S, rng)
+
+            threads = [
+                threading.Thread(target=run, args=(slot, seed))
+                for slot, seed in enumerate(seeds)
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # switch threads inside the memo fills
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert got == expected
+            split, parts = plan.payload
+            (mid_slot,) = [slot for kind, _, _, _, slot in parts if kind == "mid"]
+            assert mid_slot[0] is not None  # the race filled the sub-plan slot
+            tier_state = split._prob if numpy_tier else split._tables
+            assert tier_state is not None  # ...and the part split's state

@@ -28,6 +28,7 @@ from repro.core.planner import (
     PlanScope,
     PlanStore,
     resolve_capacity,
+    shared_store,
 )
 from repro.core.range_sampler import (
     AliasAugmentedRangeSampler,
@@ -235,3 +236,74 @@ class TestSamplerIntegration:
         assert sampler.plan_cache.hits >= 4000
         assert len(set(outputs)) > 32  # many distinct elements, no sticking
         assert lag_independence_pvalue(outputs) > 1e-6
+
+
+class TestChunkedPlanOwnership:
+    """A chunked plan holds its T_chunk sub-plan, so a chunked sampler's
+    plans live in its own scope only: one store entry per span, nothing
+    in the shared store unless the sampler joined it."""
+
+    N = 1024
+
+    def build(self, **kwargs):
+        weights = [1.0 + (i % 9) for i in range(self.N)]
+        return ChunkedRangeSampler(
+            [float(i) for i in range(self.N)], weights, rng=5, **kwargs
+        )
+
+    @staticmethod
+    def spans(k):
+        # Every span covers whole middle chunks, so every query uses T_chunk.
+        return [(7 * j, 7 * j + 300) for j in range(k)]
+
+    @pytest.fixture
+    def shared(self, monkeypatch):
+        # A capacity of its own gives this test a fresh shared store.
+        monkeypatch.setenv(ENV_CAPACITY, "4093")
+        store = shared_store()
+        store.clear()
+        yield store
+        store.clear()
+
+    def test_capacity_zero_adds_nothing_to_the_shared_store(self, shared):
+        sampler = self.build(plan_cache_size=0)
+        for lo, hi in self.spans(50):
+            sampler.sample_span(lo, hi, 5)
+            sampler.sample_span(lo, hi, 40)
+        assert len(shared) == 0
+
+    def test_private_store_bounds_everything_cached(self, shared):
+        sampler = self.build(plan_cache_size=8)
+        for lo, hi in self.spans(50):
+            sampler.sample_span(lo, hi, 5)
+        assert len(sampler.plan_cache.store) == len(sampler.plan_cache) == 8
+        assert len(shared) == 0
+
+    def test_one_shared_entry_per_distinct_span(self, shared):
+        sampler = self.build()
+        k = 20
+        for lo, hi in self.spans(k):
+            sampler.sample_span(lo, hi, 5)
+            sampler.sample_span(lo, hi, 5)
+        assert len(shared) == len(sampler.plan_cache) == k
+
+    @pytest.mark.parametrize("s", [5, 40])
+    def test_repeated_span_touches_no_lemma2_plan(self, shared, monkeypatch, s):
+        sampler = self.build()
+        t_chunk = sampler._t_chunk
+        calls = {"build": 0, "lookup": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(t_chunk, "_build_plan", counting("build", t_chunk._build_plan))
+        monkeypatch.setattr(t_chunk, "plan_span", counting("lookup", t_chunk.plan_span))
+        sampler.sample_span(10, 500, s)
+        assert calls == {"build": 1, "lookup": 0}
+        sampler.sample_span(10, 500, s)
+        assert calls == {"build": 1, "lookup": 0}
+        assert sampler.plan_cache.hits == 1

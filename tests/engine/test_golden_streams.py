@@ -30,6 +30,15 @@ multinomially whatever the query's ``s`` — get a scalar-tier variant
 captured alongside, stored under a ``@scalar`` leg suffix; ``--regen``
 discovers such legs automatically by re-running the capture in a
 ``REPRO_DISABLE_NUMPY=1`` subprocess and diffing.
+
+The ``large`` legs build the three planful range samplers at
+``LARGE_N`` instead of the demo size, so Lemma 2's node tables and
+Theorem 3's chunk tables come from the vectorized (packed) builders and
+the pinned draws include Theorem 3's two-level draw over them. Their
+``s`` values also sit in ``[BATCH_MIN_SIZE, JIT_MIN_SIZE)``, and on the
+demo span each request's cover split mixes per-node counts below and
+above ``BATCH_MIN_SIZE`` (scalar urn loops beside kernel draws in one
+request).
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ import pytest
 
 from repro.core import kernels
 from repro.engine import QueryRequest, SamplingEngine, demo_build
+from repro.engine.demo import DEMO_N
 from repro.engine.registry import REGISTRY
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "data" / "golden_streams.json"
@@ -62,6 +72,13 @@ BULK_S = 64
 BATCH_REQUESTS = 3
 #: Shard counts for the sharded-placement legs (the acceptance K set).
 SHARD_COUNTS = (2, 4, 8)
+#: Structure size of the ``large`` legs: past kernels.BUILD_MIN_SIZE for
+#: both the Lemma-2 structure and Theorem 3's T_chunk (342 chunks).
+LARGE_N = 4096
+#: Per-request ``s`` of the ``large`` legs (one request each).
+LARGE_S = (40, 200, 100)
+#: Specs with a ``large`` leg; the first also gets ``large_sharded2``.
+LARGE_SPECS = ("range.chunked", "range.lemma2", "range.treewalk")
 
 
 def _normalize(values):
@@ -69,31 +86,30 @@ def _normalize(values):
     return json.loads(json.dumps(values))
 
 
-def _batch(template: QueryRequest, s: int = BATCH_S):
-    return [
-        QueryRequest(op=template.op, args=template.args, s=s)
-        for _ in range(BATCH_REQUESTS)
+def _run_engine(spec: str, sizes, n: int = DEMO_N, **engine_kwargs):
+    """One engine batch over ``spec``'s demo request, one request per
+    entry of ``sizes``."""
+    sampler, template = demo_build(spec, n=n)
+    engine = SamplingEngine(seed=ENGINE_SEED, **engine_kwargs)
+    requests = [
+        QueryRequest(op=template.op, args=template.args, s=s) for s in sizes
     ]
+    try:
+        return [_normalize(result.unwrap()) for result in engine.run(sampler, requests)]
+    finally:
+        engine.close()
 
 
 def _run_serial(spec: str, s: int = BATCH_S):
-    sampler, template = demo_build(spec)
-    engine = SamplingEngine(backend="serial", seed=ENGINE_SEED)
-    try:
-        results = engine.run(sampler, _batch(template, s))
-        return [_normalize(result.unwrap()) for result in results]
-    finally:
-        engine.close()
+    return _run_engine(spec, [s] * BATCH_REQUESTS, backend="serial")
 
 
 def _run_thread(spec: str, s: int = BATCH_S):
-    sampler, template = demo_build(spec)
-    engine = SamplingEngine(backend="thread", seed=ENGINE_SEED, max_workers=4)
-    try:
-        results = engine.run(sampler, _batch(template, s))
-        return [_normalize(result.unwrap()) for result in results]
-    finally:
-        engine.close()
+    return _run_engine(spec, [s] * BATCH_REQUESTS, backend="thread", max_workers=4)
+
+
+def _run_large(spec: str, **engine_kwargs):
+    return _run_engine(spec, LARGE_S, n=LARGE_N, **engine_kwargs)
 
 
 def _run_direct(spec: str):
@@ -105,15 +121,10 @@ def _run_direct(spec: str):
 
 
 def _run_sharded(spec: str, shards: int):
-    sampler, template = demo_build(spec)
-    engine = SamplingEngine(
-        backend="serial", placement="sharded", shards=shards, seed=ENGINE_SEED
+    return _run_engine(
+        spec, [BATCH_S] * BATCH_REQUESTS,
+        backend="serial", placement="sharded", shards=shards,
     )
-    try:
-        results = engine.run(sampler, _batch(template))
-        return [_normalize(result.unwrap()) for result in results]
-    finally:
-        engine.close()
 
 
 def capture() -> dict:
@@ -128,6 +139,12 @@ def capture() -> dict:
             "direct": _run_direct(spec),
             "bulk": _run_serial(spec, BULK_S),
         }
+        if spec in LARGE_SPECS:
+            legs["large"] = _run_large(spec, backend="serial")
+        if spec == LARGE_SPECS[0]:
+            legs["large_sharded2"] = _run_large(
+                spec, backend="serial", placement="sharded", shards=2
+            )
         probe, _ = demo_build(spec)
         if ShardedSampler.supports(probe):
             for shards in SHARD_COUNTS:
@@ -196,6 +213,28 @@ def test_thread_bulk_matches_golden(spec):
     assert _run_thread(spec, BULK_S) == _leg(spec, "bulk")
 
 
+LARGE_LEG_SPECS = [spec for spec in SPECS if "large" in GOLDENS[spec]]
+
+
+@pytest.mark.parametrize("spec", LARGE_LEG_SPECS)
+@pytest.mark.parametrize("backend", ["serial", "thread"])
+def test_large_stream_matches_golden(spec, backend):
+    """Packed-table draws at LARGE_N; the thread backend must replay the
+    serial capture byte for byte."""
+    assert _run_large(spec, backend=backend, max_workers=2) == _leg(spec, "large")
+
+
+@pytest.mark.parametrize(
+    "spec", [spec for spec in SPECS if "large_sharded2" in GOLDENS[spec]]
+)
+@pytest.mark.parametrize("backend", ["serial", "thread"])
+def test_large_sharded_stream_matches_golden(spec, backend):
+    got = _run_large(
+        spec, backend=backend, max_workers=2, placement="sharded", shards=2
+    )
+    assert got == _leg(spec, "large_sharded2")
+
+
 @pytest.mark.parametrize(
     "spec,shards",
     [
@@ -223,6 +262,8 @@ def test_cache_disabled_stream_matches_golden(spec, monkeypatch):
     for shards in SHARD_COUNTS:
         if f"sharded{shards}" in GOLDENS[spec]:
             assert _run_sharded(spec, shards) == _leg(spec, f"sharded{shards}")
+    if "large" in GOLDENS[spec]:
+        assert _run_large(spec, backend="serial") == _leg(spec, "large")
 
 
 def main(argv=None) -> int:  # pragma: no cover - maintenance entry

@@ -7,7 +7,8 @@ instance generator — not through an embedded sampler, a batch kernel,
 or a query-time refill or rebuild (EM sample pools, set-union epochs,
 the de-amortized spare pipeline). Non-thread-safe samplers serialize on
 a per-instance lock only, so seeded requests on two instances run
-concurrently. And a request leaves no reference cycles behind, so the
+concurrently, and the thread backend runs a batch on one of them in
+submission order. And a request leaves no reference cycles behind, so the
 read path never feeds the cyclic garbage collector.
 """
 
@@ -17,6 +18,7 @@ import gc
 import random
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, ClassVar, List, Mapping
 
@@ -131,6 +133,51 @@ def test_seed_and_generator_overrides_agree(spec):
     assert by_generator.execute(request, rng=random.Random(7)).values == expected
 
 
+#: Specs whose query methods take an int ``rng`` directly (normalized
+#: once per call, as the ``RNGLike`` annotation promises).
+INT_SEED_SPECS = (
+    "range.chunked",
+    "range.integer",
+    "range.lemma2",
+    "range.naive",
+    "range.treewalk",
+)
+
+
+@pytest.mark.parametrize("spec", INT_SEED_SPECS)
+@pytest.mark.parametrize("s", [4, BULK_S])
+def test_int_rng_matches_seeded_request(spec, s):
+    sampler, template = demo_build(spec)
+    engine = SamplingEngine(backend="serial", errors="raise")
+    try:
+        for op, method in (
+            ("sample", sampler.sample),
+            ("sample_indices", sampler.sample_indices),
+        ):
+            request = QueryRequest(op, template.args, s, seed=7)
+            expected = engine.run(sampler, [request])[0].values
+            assert method(*template.args, s, rng=7) == expected
+    finally:
+        engine.close()
+
+
+def test_int_rng_seeds_a_table_rejection_loop_once():
+    # The predicate loop draws several rounds from one stream; an int
+    # seed must not restart that stream each round.
+    table, template = demo_build("table")
+    column, lo, hi = template.args
+
+    def odd(row):
+        return row["id"] % 2 == 1
+
+    by_seed = table.sample_where(column, lo, hi, 40, where=odd, rng=7)
+    by_generator = table.sample_where(
+        column, lo, hi, 40, where=odd, rng=random.Random(7)
+    )
+    assert by_seed == by_generator
+    assert len({row["id"] for row in by_seed}) > 10
+
+
 @pytest.mark.parametrize("spec", SPECS)
 def test_unseeded_execute_advances_instance_stream(spec):
     sampler, template = demo_build(spec)
@@ -196,10 +243,44 @@ def test_requests_on_one_instance_serialize():
     assert all(isinstance(r.error, threading.BrokenBarrierError) for r in results)
 
 
+class _OrderSampler(EngineSampler):
+    """Non-thread-safe sampler that records the order its ops ran in;
+    its first request (``s=1``) reaches the lock late."""
+
+    engine_ops: ClassVar[Mapping[str, EngineOp]] = {"sample": EngineOp("draw")}
+    engine_thread_safe: ClassVar[bool] = False
+
+    def __init__(self):
+        self.order: List[int] = []
+
+    def validate_request(self, request: QueryRequest) -> None:
+        super().validate_request(request)
+        if request.s == 1:
+            time.sleep(0.05)
+
+    def draw(self, s: int, *, rng: Any = None) -> List[int]:
+        self.order.append(s)
+        return [s]
+
+
+def test_thread_backend_runs_a_stateful_batch_in_submission_order():
+    # Fanned out over the pool, the late first request would take the
+    # lock last, and query-time state (a set-union rebuild) would reach
+    # the requests in another order than under the serial backend.
+    sampler = _OrderSampler()
+    engine = SamplingEngine(backend="thread", seed=3, max_workers=4)
+    try:
+        engine.run(sampler, [QueryRequest(op="sample", s=s) for s in (1, 2, 3)])
+    finally:
+        engine.close()
+    assert sampler.order == [1, 2, 3]
+
+
 def test_per_instance_lock_keeps_rebuild_schedule_exact():
-    # More workers than cores and a short switch interval: without the
-    # lock, two requests could both see the rebuild due and rebuild twice,
-    # or sample from a half-rebuilt index.
+    # Concurrent batches on one sampler, more callers than cores and a
+    # short switch interval: without the lock, two requests could both
+    # see the rebuild due and rebuild twice, or sample from a
+    # half-rebuilt index.
     family = [list(range(i, i + 20)) for i in range(0, 60, 10)]
     sampler = build("setunion", family=family, rng=1, rebuild_after=5)
     requests = [
@@ -211,7 +292,13 @@ def test_per_instance_lock_keeps_rebuild_schedule_exact():
     try:
         engine = SamplingEngine(backend="thread", max_workers=8, errors="raise")
         try:
-            engine.run(sampler, requests)
+            with ThreadPoolExecutor(max_workers=8) as callers:
+                batches = [
+                    callers.submit(engine.run, sampler, requests[i::8])
+                    for i in range(8)
+                ]
+                for batch in batches:
+                    batch.result(timeout=60)
         finally:
             engine.close()
     finally:
