@@ -26,9 +26,12 @@ def representatives(
     """``s`` distinct representatives via WoR rejection over a WR drawer.
 
     ``draw`` must produce one uniform sample of the query result (e.g. a
-    closure over an IQS sampler's query).
+    closure over an IQS sampler's query). Successive calls are already
+    in iid order, so the routine's fixed default shuffle keeps the law.
     """
-    return sample_without_replacement(draw, s, population_size)
+    return sample_without_replacement(
+        lambda k: [draw() for _ in range(k)], s, population_size
+    )
 
 
 def min_pairwise_distance(points: Sequence[Tuple[float, ...]]) -> float:

@@ -20,6 +20,7 @@ from typing import List, Optional, Sequence
 
 from repro import obs
 from repro.core import kernels
+from repro.core.schemes import sample_without_replacement
 from repro.core.set_union import SetUnionSampler
 from repro.engine.protocol import EngineOp, EngineSampler
 from repro.errors import BuildError, EmptyQueryError, SampleBudgetExceededError
@@ -94,6 +95,7 @@ class FairNearNeighbor(EngineSampler):
         sampler shares. Raises :class:`EmptyQueryError` when no point
         lies within ``r``.
         """
+        rng = self._rng if rng is None else ensure_rng(rng)
         group = self.candidate_sets(query)
         if not group:
             raise EmptyQueryError(f"no points within {self.radius} of {query!r}")
@@ -128,6 +130,7 @@ class FairNearNeighbor(EngineSampler):
         :meth:`sample` (same acceptance predicate, same budget).
         """
         validate_sample_size(s)
+        rng = self._rng if rng is None else ensure_rng(rng)
         if not kernels.use_batch(s):
             return [self.sample(query, rng=rng) for _ in range(s)]
         group = self.candidate_sets(query)
@@ -179,29 +182,16 @@ class FairNearNeighbor(EngineSampler):
     def sample_distinct(self, query: Point, s: int, *, rng: RNGLike = None) -> List[Point]:
         """``s`` *distinct* r-near neighbors (WoR scheme, §1).
 
-        Duplicate-rejection over :meth:`sample`; expected O(s) extra draws
-        while ``s`` is at most half the ball size. Raises
-        :class:`EmptyQueryError` if fewer than ``s`` points lie within
-        ``r``.
+        Duplicate rejection over batches of :meth:`sample_many`, through
+        :func:`~repro.core.schemes.sample_without_replacement`; expected
+        O(s) extra draws while ``s`` is at most half the ball size.
+        Raises :class:`EmptyQueryError` if fewer than ``s`` points lie
+        within ``r``.
         """
-        validate_sample_size(s)
-        ball_size = len(self.near_points(query))
-        if ball_size < s:
-            raise EmptyQueryError(
-                f"only {ball_size} points within {self.radius} of {query!r}, need {s}"
-            )
-        seen = set()
-        ordered: List[Point] = []
-        attempts = 0
-        budget = 64 * s + 16 * ball_size
-        while len(ordered) < s:
-            attempts += 1
-            if attempts > budget:
-                raise SampleBudgetExceededError(
-                    "distinct-neighbor rejection budget exhausted"
-                )
-            point = self.sample(query, rng=rng)
-            if point not in seen:
-                seen.add(point)
-                ordered.append(point)
-        return ordered
+        rng = self._rng if rng is None else ensure_rng(rng)
+        return sample_without_replacement(
+            lambda k: self.sample_many(query, k, rng=rng),
+            s,
+            len(self.near_points(query)),
+            rng,
+        )

@@ -292,30 +292,6 @@ def bst_topdown_batch(
     return nodes
 
 
-def rejection_accept_batch(
-    acceptance: Any, gen: "np.random.Generator"
-) -> Any:
-    """Vector of accept/reject coins for per-attempt acceptance rates.
-
-    The uniforms always come from ``gen`` — on the jit tier only the
-    compare loop is compiled — so this kernel is **byte-identical**
-    across the numpy and jit tiers (asserted in
-    ``tests/core/test_jit_kernels.py``).
-    """
-    size = len(acceptance)
-    if use_jit(size):
-        if obs.ENABLED:
-            _DISPATCH_JIT.inc()
-        out = np.empty(size, dtype=np.bool_)
-        kernels_jit.rejection_accept(
-            np.asarray(acceptance, dtype=np.float64), gen.random(size), out
-        )
-        return out
-    if obs.ENABLED:
-        _DISPATCH_NUMPY.inc()
-    return gen.random(size) < acceptance
-
-
 def offset_concat_batch(
     parts: Sequence[Sequence[int]], offsets: Sequence[int]
 ) -> "np.ndarray":
@@ -703,7 +679,6 @@ __all__ = [
     "multinomial_split_batch",
     "bst_topdown_batch",
     "offset_concat_batch",
-    "rejection_accept_batch",
     "build_alias_tables_batch",
     "build_alias_tables_flat",
     "build_alias_tables_packed",

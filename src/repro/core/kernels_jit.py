@@ -2,8 +2,8 @@
 
 :mod:`repro.core.kernels` removed the per-*draw* interpreter cost; this
 module removes the per-*batch* numpy dispatch cost that remains. Each hot
-inner loop — alias draws (Theorem 1), BST top-down walks (§3.2),
-rejection-acceptance loops, and the segmented Vose builder finish — is
+inner loop — alias draws (Theorem 1), BST top-down walks (§3.2), and
+the segmented Vose builder finish — is
 re-expressed as a fused ``@njit(cache=True)`` scalar loop, so one batched
 call compiles to a single pass over the structure arrays with no
 intermediate temporaries, and the draw loops additionally run
@@ -32,9 +32,9 @@ numpy reference twins produce **byte-identical** streams (asserted in
 
 Because the jit tier consumes randomness differently from the numpy
 tier's ``Generator`` calls, jit-vs-numpy equivalence is distributional
-(chi-square), not draw-for-draw — except for the kernels that take
-pre-drawn uniforms or no randomness at all (:func:`rejection_accept`,
-:func:`vose_finish`), which are byte-identical across all tiers.
+(chi-square), not draw-for-draw — except for the kernels that take no
+randomness at all (:func:`vose_finish`, :func:`offset_merge`), which are
+byte-identical across all tiers.
 """
 
 from __future__ import annotations
@@ -137,11 +137,6 @@ def bst_topdown_ref(
     return visits
 
 
-def rejection_accept_ref(acceptance: Any, uniforms: Any, out: Any) -> None:
-    """Accept/reject coins from pre-drawn uniforms (numpy reference)."""
-    np.less(uniforms, acceptance, out=out)
-
-
 def vose_finish_ref(
     ids: Any,
     masses: Any,
@@ -191,8 +186,8 @@ def offset_merge_ref(indices: Any, offsets: Any, out: Any) -> None:
 
     The §4.1 merge's arithmetic core: every shard-local sorted-array
     index moves up by its shard's global base offset. Deterministic and
-    randomness-free, so — like :func:`rejection_accept` — the compiled
-    twin is byte-identical to this reference on every tier.
+    randomness-free, so — like :func:`vose_finish` — the compiled twin
+    is byte-identical to this reference on every tier.
     """
     np.add(indices, offsets, out=out)
 
@@ -260,11 +255,6 @@ if HAVE_NUMBA:  # pragma: no cover - requires the [jit] extra
             out[i] = node
         return visits
 
-    @njit(cache=True, parallel=True)
-    def _rejection_accept_compiled(acceptance, uniforms, out):
-        for i in prange(acceptance.shape[0]):
-            out[i] = uniforms[i] < acceptance[i]
-
     _vose_finish_compiled = njit(cache=True)(vose_finish_ref)
     _segmented_cumsum_compiled = njit(cache=True)(segmented_cumsum_ref)
 
@@ -290,9 +280,6 @@ if HAVE_NUMBA:  # pragma: no cover - requires the [jit] extra
                 left, right, node_weight, start_nodes, np.uint64(seed), no_child, out
             )
         )
-
-    def rejection_accept(acceptance: Any, uniforms: Any, out: Any) -> None:
-        _rejection_accept_compiled(acceptance, uniforms, out)
 
     def vose_finish(
         ids: Any,
@@ -322,7 +309,6 @@ if HAVE_NUMBA:  # pragma: no cover - requires the [jit] extra
         right = np.array([2, -1, -1], dtype=np.intp)
         w = np.array([2.0, 1.0, 1.0])
         bst_topdown(left, right, w, np.zeros(4, dtype=np.intp), 1, -1, out)
-        rejection_accept(prob, prob.copy(), np.empty(2, dtype=np.bool_))
         vose_finish(
             alias.copy(),
             np.array([0.5, 1.5]),
@@ -348,9 +334,6 @@ else:
         out: Any,
     ) -> int:
         return bst_topdown_ref(left, right, node_weight, start_nodes, seed, no_child, out)
-
-    def rejection_accept(acceptance: Any, uniforms: Any, out: Any) -> None:
-        rejection_accept_ref(acceptance, uniforms, out)
 
     def vose_finish(
         ids: Any,
@@ -404,8 +387,6 @@ __all__ = [
     "alias_draw_ref",
     "bst_topdown",
     "bst_topdown_ref",
-    "rejection_accept",
-    "rejection_accept_ref",
     "vose_finish",
     "vose_finish_ref",
     "offset_merge",

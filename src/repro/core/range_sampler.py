@@ -28,7 +28,11 @@ from repro import obs
 from repro.core import kernels
 from repro.core.alias import AliasTables, alias_draw, build_alias_tables
 from repro.core.planner import QueryPlan, plan_scope
-from repro.core.schemes import PreparedSplit
+from repro.core.schemes import (
+    PreparedSplit,
+    sample_without_replacement,
+    uniform_indices_without_replacement,
+)
 from repro.engine.protocol import RangeQueryMixin
 from repro.errors import BuildError, EmptyQueryError
 from repro.substrates.bst import NO_CHILD, StaticBST
@@ -59,11 +63,6 @@ _CH_TOUCHES = obs.counter(
     "range.chunked.chunk_touches",
     "Distinct chunks touched per Theorem-3 query (partial + aligned)",
 )
-_WOR_DRAWS = obs.counter("wor.draws", "Without-replacement samples delivered")
-_WOR_REJECTIONS = obs.counter(
-    "wor.rejections",
-    "Duplicate rejections in the WoR loop (expected O(1)/draw for s <= |S_q|/2)",
-)
 
 _UNSET = object()  # "not computed yet" marker for lazily cached attributes
 
@@ -81,6 +80,10 @@ class RangeSamplerBase(RangeQueryMixin):
     each request on its own independent stream: a ``random.Random``, or
     an int seed that becomes the call's own generator (``None`` keeps
     the instance stream — the byte-identical legacy behaviour).
+
+    Every subclass, the sharded view included, inherits the WoR op: it
+    hands batches of its own :meth:`sample_span` draws to the one WoR
+    routine, :func:`repro.core.schemes.sample_without_replacement`.
 
     Planful subclasses (``plan_kind`` set) additionally implement the
     plan → execute split: :meth:`plan_span` returns a deterministic
@@ -300,62 +303,32 @@ class RangeSamplerBase(RangeQueryMixin):
     ) -> List[float]:
         """A WoR sample of ``s`` distinct elements of ``S ∩ [x, y]`` (§1).
 
-        Uniform weights: duplicate-rejection over the WR sampler —
-        expected ``O(log n + s)`` when ``s ≤ |S_q|/2``, falling back to a
-        Floyd draw over the index span when ``s`` is a large fraction of
-        the result. Non-uniform weights: successive weighted sampling
-        (weighted draws conditioned on distinctness), the standard
-        weighted-WoR design.
+        Duplicate rejection over batches of this sampler's own span
+        draws (:func:`~repro.core.schemes.sample_without_replacement`),
+        so a round costs one WR query and a sharded view makes one
+        fan-out per round: expected ``O(log n + s)`` while
+        ``s ≤ |S_q|/2``. Uniform weights with ``s > |S_q|/2`` take a
+        Floyd draw over the index span instead. Non-uniform weights give
+        successive weighted sampling (weighted draws conditioned on
+        distinctness), the standard weighted-WoR design.
         """
         validate_sample_size(s)
         lo, hi = self.span_of(x, y)
         population = hi - lo
         if population == 0:
             raise EmptyQueryError(f"no keys in [{x}, {y}]")
-        if s > population:
-            raise EmptyQueryError(
-                f"range holds {population} < s={s} keys (WoR needs s <= |S_q|)"
-            )
-        # Build-time flag instead of the former O(span) per-query probe;
-        # a locally-uniform span of a globally non-uniform set now takes
-        # the successive-weighted path, which draws from the identical
-        # distribution (weighted WoR over equal weights is uniform WoR).
-        uniform = self._all_weights_equal
-        if rng is None:
-            rng = getattr(self, "_rng", None)
-        else:
-            # Normalise a seed once, before the rejection loop: re-seeding
-            # per attempt would redraw the same element forever.
-            rng = ensure_rng(rng)
-        if uniform and s > population // 2:
-            from repro.core.schemes import uniform_indices_without_replacement
-
+        # Normalise a seed once: re-seeding per round would redraw the
+        # same batch until the budget ran out.
+        rng = self._rng if rng is None else ensure_rng(rng)
+        # A locally uniform span of a non-uniform set takes the routine,
+        # whose law there is the same uniform WoR.
+        if self._all_weights_equal and s > population // 2:
             indices = uniform_indices_without_replacement(lo, hi, s, rng=rng)
-            if obs.ENABLED:
-                _WOR_DRAWS.add(s)  # Floyd path: no rejections by design
-            return [self.keys[i] for i in indices]
-        seen = set()
-        ordered: List[float] = []
-        budget = 64 * s + 16 * population
-        attempts = 0
-        while len(ordered) < s:
-            attempts += 1
-            if attempts > budget:
-                raise EmptyQueryError(
-                    "WoR rejection budget exhausted (extremely skewed weights); "
-                    "reduce s or use uniform weights"
-                )
-            (index,) = self.sample_span(lo, hi, 1, rng=rng)
-            if index not in seen:
-                seen.add(index)
-                ordered.append(self.keys[index])
-        if obs.ENABLED:
-            # Lemma-2-shaped accounting: attempts - s duplicate rejections
-            # over s delivered draws; expected O(1)/draw while s <= |S_q|/2
-            # (asserted across n in tests/obs/test_instrumentation.py).
-            _WOR_DRAWS.add(s)
-            _WOR_REJECTIONS.add(attempts - s)
-        return ordered
+        else:
+            indices = sample_without_replacement(
+                lambda k: self.sample_span(lo, hi, k, rng=rng), s, population, rng
+            )
+        return [self.keys[i] for i in indices]
 
     def space_words(self) -> int:
         """Approximate structure size in machine words (for experiment E4)."""

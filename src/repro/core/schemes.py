@@ -15,8 +15,9 @@ conversions:
   that work; :func:`multinomial_split` is the same routine applied to
   fresh weights.
 
-Also provided: Floyd's algorithm for uniform WoR index sampling and a
-collision-rejection WoR wrapper usable with any WR sampler.
+Also provided: Floyd's algorithm for uniform WoR index sampling, and
+:func:`sample_without_replacement`, the one duplicate-rejection WoR
+routine, which draws from any batch WR drawer in shuffled rounds.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ T = TypeVar("T", bound=Hashable)
 
 #: The split's scalar part draws are Theorem-1 alias draws.
 _ALIAS_DRAWS = obs.counter("alias.draws")
+_WOR_DRAWS = obs.counter("wor.draws", "Without-replacement samples delivered")
+_WOR_REJECTIONS = obs.counter(
+    "wor.rejections",
+    "Duplicate rejections in the WoR loop (expected O(1)/draw for s <= |S_q|/2)",
+)
 
 
 class PreparedSplit:
@@ -122,6 +128,7 @@ def uniform_indices_without_replacement(
 
     Implements Robert Floyd's algorithm; the output order is randomised so
     the result is a uniformly random *sequence* of distinct indices.
+    Counted under ``wor.draws``, with no rejections by design.
     """
     validate_sample_size(s)
     population = hi - lo
@@ -139,50 +146,70 @@ def uniform_indices_without_replacement(
             chosen.add(candidate)
     result = list(chosen)
     generator.shuffle(result)
+    if obs.ENABLED:
+        _WOR_DRAWS.add(s)
     return result
 
 
 def sample_without_replacement(
-    draw: Callable[[], T],
+    draw: Callable[[int], List[T]],
     s: int,
     population_size: int,
     rng: RNGLike = None,
-    max_attempts_factor: int = 64,
 ) -> List[T]:
-    """Convert any uniform WR draw function into a WoR sample of size ``s``.
+    """A WoR sample of ``s`` distinct values from a WR drawer (§1).
 
-    Repeatedly invokes ``draw`` and discards duplicates. For
-    ``s <= population_size / 2`` the expected number of draws is ``O(s)``;
-    the attempt budget guards against a broken ``draw`` that cannot produce
-    ``s`` distinct values.
+    ``draw(k)`` returns a new list of ``k`` independent WR draws in any
+    order (range draws come back grouped by cover part, and by shard
+    after the §4.1 merge). Each round draws twice the shortfall,
+    shuffles the batch on ``rng`` and keeps first occurrences until
+    ``s`` values are held. A uniformly shuffled multiset of iid draws is
+    an iid sequence, so the result is the first ``s`` distinct values of
+    one iid WR sequence, order included: uniform WoR for a uniform
+    ``draw``, successive sampling (draws conditioned on distinctness)
+    for a weighted one. Expected ``O(s)`` draws while
+    ``s <= population_size / 2``.
 
-    Note: this is distribution-correct only when ``draw`` is *uniform* over
-    the population (the WR scheme of §1); for weighted WoR the rejected
-    distribution would be the weighted one conditioned on distinctness,
-    which is a different (but commonly used, "successive sampling") design.
+    ``rng=None`` shuffles with the ``DEFAULT_SEED`` generator, the same
+    permutation on every call: exact only for a ``draw`` that already
+    returns iid order.
+
+    Raises :class:`EmptyQueryError` when ``s > population_size`` and
+    :class:`SampleBudgetExceededError` when ``64·s + 16·population_size``
+    draws hold fewer than ``s`` distinct values. Attempts count the
+    draws walked up to the one completing the sample, so
+    ``wor.rejections`` (attempts − s) and the failure event are those of
+    a one-draw-at-a-time loop.
     """
     validate_sample_size(s)
     if s > population_size:
         raise EmptyQueryError(
             f"cannot draw {s} distinct elements from a population of {population_size}"
         )
-    ensure_rng(rng)  # kept for signature symmetry; `draw` owns the randomness
+    generator = ensure_rng(rng)
+    budget = 64 * s + 16 * population_size
     seen: Set[T] = set()
     ordered: List[T] = []
-    budget = max_attempts_factor * max(s, 1) + 16 * population_size
     attempts = 0
-    while len(ordered) < s:
-        attempts += 1
-        if attempts > budget:
+    while True:
+        k = min(2 * (s - len(ordered)), budget - attempts)
+        if k <= 0:
             raise SampleBudgetExceededError(
                 f"WoR rejection loop exceeded {budget} attempts "
                 f"(s={s}, population={population_size})"
             )
-        value = draw()
-        if value not in seen:
-            seen.add(value)
-            ordered.append(value)
-    return ordered
+        batch = draw(k)
+        generator.shuffle(batch)
+        for walked, value in enumerate(batch, 1):
+            if value not in seen:
+                seen.add(value)
+                ordered.append(value)
+                if len(ordered) == s:
+                    if obs.ENABLED:
+                        _WOR_DRAWS.add(s)
+                        _WOR_REJECTIONS.add(attempts + walked - s)
+                    return ordered
+        attempts += k
 
 
 def wr_from_wor(

@@ -7,8 +7,6 @@ The dispatch ladder is scalar → numpy → jit, and the contract per kernel
   jit stream differs from the numpy tier's ``Generator`` stream;
   equivalence across tiers is **distributional** (chi-square against the
   exact target), while same-seed runs are byte-reproducible.
-* ``rejection_accept`` — uniforms always come from the caller's
-  ``Generator``; **byte-identical** across tiers.
 * ``vose_finish`` — no randomness; the builders using it are
   **byte-identical** across tiers.
 * ``segmented_cumsum`` — same sums up to cumsum rounding (allclose).
@@ -149,19 +147,6 @@ class TestBstTopdown:
 
 
 class TestByteIdenticalTiers:
-    def test_rejection_accept_identical_across_tiers(self, monkeypatch):
-        gen_seed = 31
-        acceptance = np.random.default_rng(2).random(4096)
-        monkeypatch.setattr(kernels, "HAVE_JIT", False)
-        numpy_tier = kernels.rejection_accept_batch(
-            acceptance, np.random.default_rng(gen_seed)
-        )
-        monkeypatch.setattr(kernels, "HAVE_JIT", True)
-        jit_tier = kernels.rejection_accept_batch(
-            acceptance, np.random.default_rng(gen_seed)
-        )
-        assert np.array_equal(numpy_tier, jit_tier)
-
     def test_alias_builders_identical_across_tiers(self, monkeypatch):
         gen = np.random.default_rng(4)
         weights = (gen.zipf(1.5, size=5000) + gen.random(5000)).astype(np.float64)

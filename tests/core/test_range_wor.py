@@ -10,7 +10,9 @@ from repro.core.range_sampler import (
     ChunkedRangeSampler,
     TreeWalkRangeSampler,
 )
-from repro.errors import EmptyQueryError
+from repro.engine import QueryRequest, SamplingEngine
+from repro.engine.shard import ShardedSampler
+from repro.errors import EmptyQueryError, SampleBudgetExceededError
 
 ALL_SAMPLERS = [
     TreeWalkRangeSampler,
@@ -79,3 +81,23 @@ class TestWoRDistribution:
             for _ in range(20)
         }
         assert len(outputs) > 15
+
+
+@pytest.mark.parametrize("path", ["direct", "sharded2", "engine"])
+def test_budget_failure_is_not_an_empty_query(path):
+    # Three keys, one of weight 1e12: 240 draws almost surely miss one of
+    # the light keys, so s=3 exhausts the attempt budget. That is a
+    # rejection-budget failure, as in every other rejection loop, not
+    # an empty result.
+    sampler = ChunkedRangeSampler([0.0, 1.0, 2.0], [1e12, 1.0, 1.0], rng=1)
+    if path == "engine":
+        with SamplingEngine(backend="serial", seed=3) as engine:
+            (result,) = engine.run(
+                sampler, [QueryRequest(op="sample_wor", args=(0.0, 2.0), s=3)]
+            )
+        assert type(result.error) is SampleBudgetExceededError
+        return
+    if path == "sharded2":
+        sampler = ShardedSampler.from_sampler(sampler, 2)
+    with pytest.raises(SampleBudgetExceededError):
+        sampler.sample_without_replacement(0.0, 2.0, 3)

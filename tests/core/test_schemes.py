@@ -78,17 +78,17 @@ class TestRejectionWoR:
         rng = random.Random(3)
         population = list(range(20))
         result = sample_without_replacement(
-            lambda: population[rng.randrange(20)], 10, 20
+            lambda k: [population[rng.randrange(20)] for _ in range(k)], 10, 20
         )
         assert len(set(result)) == 10
 
     def test_impossible_request_rejected(self):
         with pytest.raises(EmptyQueryError):
-            sample_without_replacement(lambda: 1, 3, 2)
+            sample_without_replacement(lambda k: [1] * k, 3, 2)
 
     def test_broken_drawer_hits_budget(self):
         with pytest.raises(SampleBudgetExceededError):
-            sample_without_replacement(lambda: 42, 2, 10, max_attempts_factor=1)
+            sample_without_replacement(lambda k: [42] * k, 2, 10)
 
 
 class TestWRFromWoR:

@@ -39,6 +39,14 @@ the pinned draws include Theorem 3's two-level draw over them. Their
 demo span each request's cover split mixes per-node counts below and
 above ``BATCH_MIN_SIZE`` (scalar urn loops beside kernel draws in one
 request).
+
+The ``wor`` legs pin the WoR op of each spec that has one: three
+``BATCH_S`` requests on the demo span, plus (range specs) one request
+per ``WOR_LARGE_S`` at ``LARGE_N``, whose rounds of ``2·s`` draws sit
+in ``[BATCH_MIN_SIZE, JIT_MIN_SIZE)``. Every ``s`` stays at or below
+half its uniform-weight span, so the legs pin the duplicate-rejection
+routine, not the Floyd path. ``range.chunked`` also gets
+``wor_sharded2``.
 """
 
 from __future__ import annotations
@@ -79,6 +87,17 @@ LARGE_N = 4096
 LARGE_S = (40, 200, 100)
 #: Specs with a ``large`` leg; the first also gets ``large_sharded2``.
 LARGE_SPECS = ("range.chunked", "range.lemma2", "range.treewalk")
+#: Specs with a ``wor`` leg, and their WoR op; the first also gets
+#: ``wor_sharded2``.
+WOR_OPS = {
+    "range.chunked": "sample_wor",
+    "range.lemma2": "sample_wor",
+    "range.naive": "sample_wor",
+    "range.treewalk": "sample_wor",
+    "fair_nn": "sample_distinct",
+}
+#: Per-request ``s`` of a range spec's ``wor`` requests at ``LARGE_N``.
+WOR_LARGE_S = (40, 100)
 
 
 def _normalize(values):
@@ -86,13 +105,13 @@ def _normalize(values):
     return json.loads(json.dumps(values))
 
 
-def _run_engine(spec: str, sizes, n: int = DEMO_N, **engine_kwargs):
-    """One engine batch over ``spec``'s demo request, one request per
-    entry of ``sizes``."""
+def _run_engine(spec: str, sizes, n: int = DEMO_N, op=None, **engine_kwargs):
+    """One engine batch over ``spec``'s demo request (its op, or ``op``),
+    one request per entry of ``sizes``."""
     sampler, template = demo_build(spec, n=n)
     engine = SamplingEngine(seed=ENGINE_SEED, **engine_kwargs)
     requests = [
-        QueryRequest(op=template.op, args=template.args, s=s) for s in sizes
+        QueryRequest(op=op or template.op, args=template.args, s=s) for s in sizes
     ]
     try:
         return [_normalize(result.unwrap()) for result in engine.run(sampler, requests)]
@@ -110,6 +129,18 @@ def _run_thread(spec: str, s: int = BATCH_S):
 
 def _run_large(spec: str, **engine_kwargs):
     return _run_engine(spec, LARGE_S, n=LARGE_N, **engine_kwargs)
+
+
+def _run_wor(spec: str, **engine_kwargs):
+    op = WOR_OPS[spec]
+    values = _run_engine(
+        spec, [BATCH_S] * BATCH_REQUESTS, op=op, backend="serial", **engine_kwargs
+    )
+    if op == "sample_wor":
+        values += _run_engine(
+            spec, WOR_LARGE_S, n=LARGE_N, op=op, backend="serial", **engine_kwargs
+        )
+    return values
 
 
 def _run_direct(spec: str):
@@ -145,6 +176,10 @@ def capture() -> dict:
             legs["large_sharded2"] = _run_large(
                 spec, backend="serial", placement="sharded", shards=2
             )
+        if spec in WOR_OPS:
+            legs["wor"] = _run_wor(spec)
+        if spec == next(iter(WOR_OPS)):
+            legs["wor_sharded2"] = _run_wor(spec, placement="sharded", shards=2)
         probe, _ = demo_build(spec)
         if ShardedSampler.supports(probe):
             for shards in SHARD_COUNTS:
@@ -233,6 +268,19 @@ def test_large_sharded_stream_matches_golden(spec, backend):
         spec, backend=backend, max_workers=2, placement="sharded", shards=2
     )
     assert got == _leg(spec, "large_sharded2")
+
+
+@pytest.mark.parametrize("spec", [spec for spec in SPECS if "wor" in GOLDENS[spec]])
+def test_wor_stream_matches_golden(spec):
+    assert _run_wor(spec) == _leg(spec, "wor")
+
+
+@pytest.mark.parametrize(
+    "spec", [spec for spec in SPECS if "wor_sharded2" in GOLDENS[spec]]
+)
+def test_wor_sharded_stream_matches_golden(spec):
+    got = _run_wor(spec, placement="sharded", shards=2)
+    assert got == _leg(spec, "wor_sharded2")
 
 
 @pytest.mark.parametrize(

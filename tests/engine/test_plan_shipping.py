@@ -67,6 +67,43 @@ class TestOneCoverComputationPerRequest:
         assert obs.value("engine.plan_reuse") == 3
 
 
+@pytest.mark.parametrize("execution", ["serial", "process"])
+def test_wor_request_fans_out_per_round_not_per_draw(execution, metrics_on):
+    # A sharded WoR request draws its rounds through the view's own
+    # fan-out: one plan fetch, and under process one message per active
+    # shard, per round of about 2·s draws.
+    n = 4096
+    keys = [float(i) for i in range(n)]
+    weights = [1.0 + i % 9 for i in range(n)]
+    sampler = ChunkedRangeSampler(keys, weights=weights, rng=1)
+    args = (100.0, float(n) - 100.0)
+
+    def fan_outs():
+        return obs.value("engine.plan_builds") + obs.value("engine.plan_reuse")
+
+    def run(op):
+        before, sent = fan_outs(), obs.value("engine.serialized_bytes")
+        (result,) = engine.run(sampler, [QueryRequest(op=op, args=args, s=256)])
+        assert result.ok, result.error
+        return (
+            result.values,
+            fan_outs() - before,
+            obs.value("engine.serialized_bytes") - sent,
+        )
+
+    with SamplingEngine(
+        backend=execution, placement="sharded", seed=17, shards=2, max_workers=2
+    ) as engine:
+        run("sample")  # plans the span and ships the shard tokens
+        _, wr_fan_outs, wr_bytes = run("sample")
+        values, wor_fan_outs, wor_bytes = run("sample_wor")
+    assert len(set(values)) == 256
+    assert wr_fan_outs == 1
+    assert 1 <= wor_fan_outs <= 3
+    if execution == "process":
+        assert 0 < wor_bytes <= 2 * wr_bytes
+
+
 class TestShippedPlanByteIdentity:
     @pytest.mark.parametrize("spec", ["range.chunked", "range.treewalk"])
     def test_process_runner_matches_serial(self, spec):

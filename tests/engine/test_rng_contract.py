@@ -161,6 +161,22 @@ def test_int_rng_matches_seeded_request(spec, s):
         engine.close()
 
 
+@pytest.mark.parametrize(
+    "method,s",
+    [("sample", None), ("sample_many", 4), ("sample_many", BULK_S), ("sample_distinct", 4)],
+)
+def test_fair_nn_takes_an_int_rng(method, s):
+    # Normalized once per call: its rejection loops draw every round
+    # from one stream (the demo ball holds 13 points, so s=BULK_S takes
+    # the batch path).
+    results = []
+    for rng in (7, random.Random(7)):
+        fair, template = demo_build("fair_nn")
+        sizes = () if s is None else (s,)
+        results.append(getattr(fair, method)(*template.args, *sizes, rng=rng))
+    assert results[0] == results[1]
+
+
 def test_int_rng_seeds_a_table_rejection_loop_once():
     # The predicate loop draws several rounds from one stream; an int
     # seed must not restart that stream each round.
