@@ -1,61 +1,9 @@
-"""Shared fixtures for the benchmark suite.
+"""Put ``src`` on the import path for the benchmark scripts and
+``benchmarks/layers``, so they run from a plain checkout."""
 
-Each bench_eXX file regenerates the timing side of one EXPERIMENTS.md
-experiment (the shape/series side lives in ``python -m repro.experiments``).
-Run with::
-
-    pytest benchmarks/ --benchmark-only
-"""
-
-import os
 import sys
 from pathlib import Path
-
-import pytest
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """With metrics on, leave a sidecar JSON of the run's counters.
-
-    The path comes from ``REPRO_METRICS_SIDECAR`` (default
-    ``benchmarks/metrics-sidecar.json``); CI uploads it as an artifact so
-    per-query cost accounting rides along with the timing numbers.
-    """
-    from repro import obs
-
-    if not obs.ENABLED:
-        return
-    default = str(Path(__file__).resolve().parent / "metrics-sidecar.json")
-    path = os.environ.get(obs.ENV_SIDECAR, default)
-    obs.write_sidecar(
-        path,
-        obs.snapshot(),
-        extra={"suite": "benchmarks", "exitstatus": int(exitstatus)},
-    )
-
-
-@pytest.fixture(params=["scalar", "batch"])
-def batch_mode(request):
-    """Run a benchmark under both sampling paths for A/B comparison.
-
-    ``scalar`` forces the pure-Python loops (the seed behaviour);
-    ``batch`` keeps the numpy kernel dispatch (skipped when numpy is
-    unavailable). EXPERIMENTS.md records the measured ratio.
-    """
-    from repro.core import kernels
-
-    if request.param == "scalar":
-        saved = kernels.HAVE_NUMPY
-        kernels.HAVE_NUMPY = False
-        try:
-            yield "scalar"
-        finally:
-            kernels.HAVE_NUMPY = saved
-    else:
-        if not kernels.HAVE_NUMPY:
-            pytest.skip("numpy unavailable — no batch path to measure")
-        yield "batch"

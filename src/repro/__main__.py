@@ -15,7 +15,7 @@ import sys
 
 import repro
 from repro import obs
-from repro.experiments.runner import ALL_EXPERIMENTS
+from repro.experiments.runner import ALL_EXPERIMENTS, kernel_tier
 
 
 def _info() -> int:
@@ -27,7 +27,6 @@ def _info() -> int:
     print("  python -m repro engine run SPEC [options]     batched demo queries via the engine")
     print("  python -m repro obs [--format F] [--out PATH] metrics snapshot (OBSERVABILITY.md)")
     print("  pytest tests/                                 unit/integration/property suites")
-    print("  pytest benchmarks/ --benchmark-only           pytest-benchmark timings")
     print("  python examples/quickstart.py                 first steps")
     print()
     print(f"Experiments: {', '.join(ALL_EXPERIMENTS)}")
@@ -250,10 +249,7 @@ def _engine_run(
         f"execution={engine.execution})  seed: {seed}  "
         f"requests: {requests}  s: {s}{extra}"
     )
-    print(
-        f"kernels:  jit={'on' if kernels.HAVE_JIT else 'off'}  "
-        f"numpy={'on' if kernels.HAVE_NUMPY else 'off'}"
-    )
+    print(f"kernels:  {kernel_tier()}")
     elapsed = sum(r.elapsed_s or 0.0 for r in results)
     print(f"executed: {len(results)} requests in {elapsed:.4f}s sampler time")
     if warmup or repeat > 1:

@@ -187,33 +187,33 @@ class AliasSampler(EngineSampler, Generic[T]):
         overrides the instance stream for this call (engine batching).
         """
         validate_sample_size(s)
+        rng = self._rng if rng is None else ensure_rng(rng)
         items = self._items
         if kernels.use_batch(s):
             return [items[i] for i in self._batch_indices(s, rng)]
         if obs.ENABLED:
             _DRAWS.add(s)
         prob, alias = self._prob, self._alias
-        rng = self._rng if rng is None else rng
         return [items[alias_draw(prob, alias, rng)] for _ in range(s)]
 
     def sample_indices(self, s: int, *, rng: RNGLike = None) -> List[int]:
         """Draw ``s`` independent sample indices in O(s)."""
         validate_sample_size(s)
+        rng = self._rng if rng is None else ensure_rng(rng)
         if kernels.use_batch(s):
             return self._batch_indices(s, rng)
         if obs.ENABLED:
             _DRAWS.add(s)
         prob, alias = self._prob, self._alias
-        rng = self._rng if rng is None else rng
         return [alias_draw(prob, alias, rng) for _ in range(s)]
 
-    def _batch_indices(self, s: int, rng: RNGLike = None) -> List[int]:
+    def _batch_indices(self, s: int, rng: random.Random) -> List[int]:
         if obs.ENABLED:
             _DRAWS.add(s)
         if self._np_tables is None:
             self._np_tables = kernels.as_alias_arrays(self._prob, self._alias)
         prob, alias = self._np_tables
-        gen = kernels.batch_generator(self._rng if rng is None else rng)
+        gen = kernels.batch_generator(rng)
         return kernels.alias_draw_batch(prob, alias, s, gen).tolist()
 
     # ------------------------------------------------------------------

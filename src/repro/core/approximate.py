@@ -130,7 +130,7 @@ class ApproximateDynamicSampler(EngineSampler, Generic[T]):
         """
         if self._size == 0:
             raise EmptyQueryError("sampler is empty")
-        rng = self._rng if rng is None else rng
+        rng = self._rng if rng is None else ensure_rng(rng)
         class_items = self._class_items
         class_unit = self._class_unit
         target = rng.random() * self._total_mass
@@ -149,6 +149,7 @@ class ApproximateDynamicSampler(EngineSampler, Generic[T]):
 
     def sample_many(self, s: int, *, rng: RNGLike = None) -> List[T]:
         validate_sample_size(s)
+        rng = self._rng if rng is None else ensure_rng(rng)
         return [self.sample(rng=rng) for _ in range(s)]
 
     def probability_bounds(self, handle: int, total_true_weight: float) -> Tuple[float, float]:

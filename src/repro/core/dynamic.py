@@ -116,7 +116,7 @@ class FenwickDynamicSampler(EngineSampler, Generic[T]):
             raise EmptyQueryError("sampler is empty")
         if obs.ENABLED:
             _FENWICK_DRAWS.inc()
-        rng = self._rng if rng is None else rng
+        rng = self._rng if rng is None else ensure_rng(rng)
         for _ in range(4):
             target = rng.random() * self._tree.total
             slot = self._tree.find_prefix(target)
@@ -137,7 +137,7 @@ class FenwickDynamicSampler(EngineSampler, Generic[T]):
         log n) numpy work instead of O(s log n) interpreted work.
         """
         validate_sample_size(s)
-        rng = self._rng if rng is None else rng
+        rng = self._rng if rng is None else ensure_rng(rng)
         if self._size > 0 and kernels.use_batch(s):
             return self._sample_many_batch(s, rng)
         return [self.sample(rng=rng) for _ in range(s)]
@@ -293,7 +293,7 @@ class BucketDynamicSampler(EngineSampler, Generic[T]):
             raise EmptyQueryError("sampler is empty")
         enabled = obs.ENABLED
         proposals = 0
-        rng = self._rng if rng is None else rng
+        rng = self._rng if rng is None else ensure_rng(rng)
         bucket_items = self._bucket_items
         total_bound = 0.0
         for bucket, items in bucket_items.items():
@@ -334,7 +334,7 @@ class BucketDynamicSampler(EngineSampler, Generic[T]):
         a block of ``2·need`` proposals usually finishes the request).
         """
         validate_sample_size(s)
-        rng = self._rng if rng is None else rng
+        rng = self._rng if rng is None else ensure_rng(rng)
         if self._size > 0 and kernels.use_batch(s):
             return self._sample_many_batch(s, rng)
         return [self.sample(rng=rng) for _ in range(s)]

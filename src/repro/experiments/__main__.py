@@ -53,6 +53,13 @@ def main(argv=None) -> int:
     if metrics_dir is None and obs.ENABLED:
         metrics_dir = os.path.join("results", "metrics")
 
+    # Every id is checked before any runs, so a typo cannot cut a sweep short.
+    unknown = [e for e in args.experiments if e.lower() not in ALL_EXPERIMENTS]
+    if unknown:
+        parser.error(
+            f"unknown experiment id(s) {', '.join(unknown)}; "
+            f"choose from {', '.join(ALL_EXPERIMENTS)}"
+        )
     selected = [e.lower() for e in args.experiments] or ALL_EXPERIMENTS
     for experiment_id in selected:
         started = time.perf_counter()
@@ -72,6 +79,7 @@ def main(argv=None) -> int:
                     extra={
                         "experiment": experiment_id,
                         "quick": args.quick,
+                        "kernels": result.kernels,
                         "elapsed_s": round(elapsed, 3),
                     },
                 )

@@ -8,6 +8,19 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 from repro import obs
+from repro.core import kernels
+
+
+def kernel_tier() -> str:
+    """The kernel tier this process draws on, in ``engine run``'s wording.
+
+    A scalar column is the same experiment run under
+    ``REPRO_DISABLE_NUMPY=1``; this line says which tier a table came from.
+    """
+    return (
+        f"jit={'on' if kernels.HAVE_JIT else 'off'} "
+        f"numpy={'on' if kernels.HAVE_NUMPY else 'off'}"
+    )
 
 
 @dataclass
@@ -23,6 +36,8 @@ class ExperimentResult:
     #: ``repro.obs`` snapshot taken right after the run (None when the
     #: metrics layer is disabled).
     metrics: Optional[dict] = None
+    #: :func:`kernel_tier` at run time (set by :func:`run_experiment`).
+    kernels: Optional[str] = None
 
     def add_row(self, *values) -> None:
         self.rows.append(values)
@@ -49,6 +64,10 @@ class ExperimentResult:
         lines = [
             f"== {self.experiment_id.upper()}: {self.title} ==",
             f"claim: {self.claim}",
+        ]
+        if self.kernels is not None:
+            lines.append(f"kernels: {self.kernels}")
+        lines += [
             "",
             "  ".join(h.ljust(w) for h, w in zip(header, widths)),
             "  ".join("-" * w for w in widths),
@@ -72,26 +91,6 @@ def time_per_call(fn: Callable[[], object], repeats: int = 5, inner: int = 1) ->
     return timings[len(timings) // 2]
 
 
-ALL_EXPERIMENTS = [
-    "e1",
-    "e2",
-    "e3",
-    "e4",
-    "e5",
-    "e6",
-    "e7",
-    "e8",
-    "e9",
-    "e10",
-    "e11",
-    "e12",
-    "e13",
-    "e14",
-    "e15",
-    "e16",
-    "e17",
-]
-
 _MODULE_OF = {
     "e1": "repro.experiments.e01_alias",
     "e2": "repro.experiments.e02_tree_sampling",
@@ -110,7 +109,10 @@ _MODULE_OF = {
     "e15": "repro.experiments.e15_approximate",
     "e16": "repro.experiments.e16_dynamic_range",
     "e17": "repro.experiments.e17_halfplane",
+    "e18": "repro.experiments.e18_ablations",
 }
+
+ALL_EXPERIMENTS = list(_MODULE_OF)
 
 
 def run_experiment(experiment_id: str, quick: bool = False) -> ExperimentResult:
@@ -119,11 +121,13 @@ def run_experiment(experiment_id: str, quick: bool = False) -> ExperimentResult:
     if key not in _MODULE_OF:
         raise KeyError(f"unknown experiment {experiment_id!r}; choose from {ALL_EXPERIMENTS}")
     module = importlib.import_module(_MODULE_OF[key])
-    if not obs.ENABLED:
-        return module.run(quick=quick)
-    # Each experiment gets a clean measurement window; the snapshot rides
-    # on the result so __main__ can write per-experiment sidecars.
-    obs.reset()
+    metered = obs.ENABLED
+    if metered:
+        # Each experiment gets a clean measurement window; the snapshot
+        # rides on the result so __main__ can write per-experiment sidecars.
+        obs.reset()
     result = module.run(quick=quick)
-    result.metrics = obs.snapshot()
+    if metered:
+        result.metrics = obs.snapshot()
+    result.kernels = kernel_tier()
     return result

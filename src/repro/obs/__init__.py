@@ -65,10 +65,6 @@ from repro.obs.trace import (
 #: ``on``, case-insensitive).
 ENV_ENABLED = "REPRO_METRICS"
 
-#: Optional path for the benchmark-suite metrics sidecar JSON (consumed
-#: by ``benchmarks/conftest.py``; CI uploads it as a workflow artifact).
-ENV_SIDECAR = "REPRO_METRICS_SIDECAR"
-
 #: The process-wide registry every instrumented module records into.
 REGISTRY = MetricsRegistry()
 
@@ -237,7 +233,6 @@ __all__ = [
     "NullSpan",
     "DERIVED_RATIOS",
     "ENV_ENABLED",
-    "ENV_SIDECAR",
     "RECORDER",
     "REGISTRY",
     "ENABLED",

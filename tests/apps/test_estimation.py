@@ -15,9 +15,9 @@ from repro.core.range_sampler import ChunkedRangeSampler
 
 class TestSampleSize:
     def test_hoeffding_formula(self):
-        assert required_sample_size(0.1, 0.05) == math.ceil(
-            math.log(2 / 0.05) / (2 * 0.01)
-        )
+        for epsilon, delta, expected in ((0.1, 0.05, 185), (0.1, 0.01, 265), (0.05, 0.01, 1060)):
+            assert required_sample_size(epsilon, delta) == expected
+            assert expected == math.ceil(math.log(2 / delta) / (2 * epsilon**2))
 
     def test_tighter_epsilon_needs_more(self):
         assert required_sample_size(0.01, 0.1) > required_sample_size(0.1, 0.1)

@@ -131,6 +131,10 @@ class TestSpaceAccounting:
         # Per-element footprint grows for Lemma 2, stays ~flat for Theorem 3.
         assert lemma2_big / n_big > 1.25 * (lemma2_small / n_small)
         assert chunked_big / n_big < 1.25 * (chunked_small / n_small)
+        # The exact shape over these four doublings (E4 reads +8.0 and -0.3):
+        # Lemma 2 gains 2 words/element per doubling, Theorem 3 under one.
+        assert lemma2_big / n_big - lemma2_small / n_small > 2.0
+        assert abs(chunked_big / n_big - chunked_small / n_small) < 1.0
 
     def test_naive_space_linear(self):
         assert NaiveRangeSampler(make_keys(1000)).space_words() == 2000

@@ -177,6 +177,27 @@ def test_fair_nn_takes_an_int_rng(method, s):
     assert results[0] == results[1]
 
 
+@pytest.mark.parametrize(
+    "spec,method,s",
+    [("alias", method, s) for method in ("sample_many", "sample_indices") for s in (4, BULK_S)]
+    + [
+        (spec, method, s)
+        for spec in ("dynamic.fenwick", "dynamic.bucket", "dynamic.approx")
+        for method, s in (("sample", None), ("sample_many", 4), ("sample_many", BULK_S))
+    ],
+)
+def test_whole_set_samplers_take_an_int_rng(spec, method, s):
+    # Normalized once per call, never per draw: the approximate sampler's
+    # sample_many calls sample once per draw, so re-seeding there would
+    # repeat one value s times.
+    results = []
+    for rng in (7, random.Random(7)):
+        sampler, _ = demo_build(spec)
+        sizes = () if s is None else (s,)
+        results.append(getattr(sampler, method)(*sizes, rng=rng))
+    assert results[0] == results[1]
+
+
 def test_int_rng_seeds_a_table_rejection_loop_once():
     # The predicate loop draws several rounds from one stream; an int
     # seed must not restart that stream each round.
