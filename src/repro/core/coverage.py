@@ -253,9 +253,12 @@ class CoverageSampler(EngineSampler):
         Runs the Theorem-5 algorithm as the plan → execute compose:
         find ``C_q`` and its span weights (:meth:`plan_query`, cached),
         then split the draws and sample each part from its subtree
-        (:meth:`execute_plan`).
+        (:meth:`execute_plan`). An int ``rng`` seeds one generator for
+        the whole call: the split and every cover part draw from it.
         """
         validate_sample_size(s)
+        if rng is not None:
+            rng = ensure_rng(rng)
         return self.execute_plan(self.plan_query(query), s, rng=rng)
 
     def sample(self, query: Any, s: int, *, rng: RNGLike = None) -> List[Any]:

@@ -193,6 +193,29 @@ def alias_draw_batch(prob: Any, alias: Any, size: int, gen: "np.random.Generator
     return np.where(coins < prob[urns], urns, alias[urns])
 
 
+def ragged_alias_draw(
+    prob: Any, alias: Any, offsets: Any, sizes: Any, parts: Any, gen: "np.random.Generator"
+) -> Any:
+    """One alias draw per entry of ``parts`` from a flat table of many urns.
+
+    ``prob``/``alias`` hold every table back to back, with segment-local
+    alias indices; table ``j`` starts at ``offsets[j]`` and has
+    ``sizes[j]`` urns. Draw ``i`` picks a uniform urn of table
+    ``parts[i]`` and flips its coin, so the draws of any mix of tables
+    cost one pass: one ``random`` call for the urns (floored and clamped
+    below the table size), one for the coins, two gathers and one
+    ``where``. Returns the table-local picks as an ``intp`` array.
+    """
+    if obs.ENABLED:
+        _DISPATCH_NUMPY.inc()
+    count = len(parts)
+    size = sizes[parts]
+    urns = np.minimum((gen.random(count) * size).astype(np.intp), size - 1)
+    slots = offsets[parts] + urns
+    keep = gen.random(count) < prob[slots]
+    return np.where(keep, urns, alias[slots])
+
+
 def inverse_cdf_draw_batch(cum_weights: Any, size: int, gen: "np.random.Generator") -> Any:
     """``size`` weighted draws via prefix sums + vectorized binary search.
 
@@ -673,6 +696,7 @@ __all__ = [
     "batch_generator",
     "as_alias_arrays",
     "alias_draw_batch",
+    "ragged_alias_draw",
     "inverse_cdf_draw_batch",
     "uniform_index_batch",
     "multinomial_counts",

@@ -482,6 +482,11 @@ class AliasAugmentedRangeSampler(RangeSamplerBase):
     urns); query time ``O(log n + s)``: find the canonical cover, split the
     ``s`` draws multinomially across it (§4.1), then answer each part from
     that node's pre-built alias structure in O(1) per sample.
+
+    Every node's table lives in one flat ``(prob, alias)`` pair, at the
+    node's entry of a per-node offset array. Internal nodes own their
+    weight slice's table; all leaves share one trailing one-urn table
+    (``prob = 1``), so a node's table size is its span size.
     """
 
     plan_kind = "lemma2"
@@ -496,114 +501,130 @@ class AliasAugmentedRangeSampler(RangeSamplerBase):
         super().__init__(keys, weights)
         self._tree = StaticBST(self.keys, self.weights)
         self._rng = ensure_rng(rng)
-        # Per-node alias tables over the node's leaf span. Leaves are
-        # trivial (single element), so store tables for internal nodes only.
-        self._node_tables: List[Optional[AliasTables]] = [None] * self._tree.node_count
-        self._flat_tables: Optional[tuple] = None
-        self._table_entry_count = 0
         if kernels.use_batch_build(len(self.keys)):
-            self._build_node_tables_packed()
+            self._build_urns_packed()
         else:
-            for node in self._tree.iter_nodes():
-                if not self._tree.is_leaf(node):
-                    node_lo, node_hi = self._tree.leaf_span(node)
-                    self._node_tables[node] = build_alias_tables(
-                        self.weights[node_lo:node_hi]
-                    )
-                    self._table_entry_count += node_hi - node_lo
-        # numpy copies of per-node tables, converted on first batched use
-        # (already present when the packed builder ran).
-        self._np_node_tables: dict = {}
+            self._build_urns_scalar()
         self.plan_cache = plan_scope(self.plan_kind, plan_cache_size)
 
-    def _build_node_tables_packed(self) -> None:
-        """Build *every* internal node's urn table in one flat kernel call.
+    def _build_urns_packed(self) -> None:
+        """Build *every* node's urn table in one flat kernel call.
 
         Each internal node's table is over a contiguous weight slice
         ``weights[lo:hi]``, so the whole structure — all ``O(n)`` tables
         across all ``O(log n)`` BST levels, ``O(n log n)`` urns total —
         concatenates into one ragged instance for
-        :func:`kernels.build_alias_tables_flat`. One pass loop replaces
-        per-level (let alone per-node) construction, which is where the
-        measured build speedup comes from: numpy dispatch overhead is paid
-        per pass over the full structure, not per level.
-
-        Only the flat arrays are stored here; per-node slice views
-        materialize on first touch via :meth:`_node_table` — creating
-        ``Θ(n)`` view objects eagerly costs more than the build itself,
-        and a query workload only ever touches the ``O(log n)`` nodes of
-        its covers.
+        :func:`kernels.build_alias_tables_flat`, with the leaves' one-urn
+        segment at the end. One pass loop replaces per-level (let alone
+        per-node) construction: numpy dispatch overhead is paid per pass
+        over the full structure, not per level. The segments are written
+        into one preallocated value buffer, so the built tables are never
+        copied.
         """
         np = kernels.np
-        tree = self._tree
-        arrays = tree.numpy_arrays()
-        if arrays is not None:
-            w = arrays["leaf_weight"]
-            left_arr = arrays["left"]
-            lo_arr = arrays["lo"]
-            hi_arr = arrays["hi"]
-        else:
-            w = np.asarray(self.weights, dtype=np.float64)
-            left, _, _, _ = tree.packed_arrays()
-            span_lo, span_hi = tree.span_arrays()
-            left_arr = np.asarray(left, dtype=np.intp)
-            lo_arr = np.asarray(span_lo, dtype=np.intp)
-            hi_arr = np.asarray(span_hi, dtype=np.intp)
-        internal = np.nonzero(left_arr != NO_CHILD)[0]
-        if internal.size == 0:
-            return
-        sizes = hi_arr[internal] - lo_arr[internal]
-        out_starts = np.cumsum(sizes) - sizes
+        arrays = self._tree.numpy_arrays()
+        span_lo, span_hi = arrays["lo"], arrays["hi"]
+        internal = np.nonzero(arrays["left"] != NO_CHILD)[0]
+        sizes = span_hi[internal] - span_lo[internal]
+        starts = np.cumsum(sizes) - sizes
         total = int(sizes.sum())
+        offsets = np.full(self._tree.node_count, total, dtype=np.intp)
+        offsets[internal] = starts
         idx_t = np.int32 if total < 2**31 else np.intp
-        flat_idx = np.repeat(
-            (lo_arr[internal] - out_starts).astype(idx_t), sizes
-        ) + np.arange(total, dtype=idx_t)
-        prob_flat, alias_flat = kernels.build_alias_tables_flat(w[flat_idx], sizes)
-        self._flat_tables = (internal, out_starts, sizes, prob_flat, alias_flat)
-        self._table_entry_count = total
+        flat_idx = np.repeat((span_lo[internal] - starts).astype(idx_t), sizes)
+        flat_idx += np.arange(total, dtype=idx_t)
+        values = np.empty(total + 1)
+        np.take(arrays["leaf_weight"], flat_idx, out=values[:total])
+        values[total] = 1.0
+        self._adopt_urns(
+            *kernels.build_alias_tables_flat(values, np.concatenate((sizes, [1]))),
+            offsets,
+        )
 
-    def _node_table(self, node: int) -> AliasTables:
-        """Alias tables for internal ``node``, resolving flat slices lazily."""
-        tables = self._node_tables[node]
-        if tables is None:
-            internal, out_starts, sizes, prob_flat, alias_flat = self._flat_tables
-            j = int(kernels.np.searchsorted(internal, node))
-            a = int(out_starts[j])
-            b = a + int(sizes[j])
-            tables = (prob_flat[a:b], alias_flat[a:b])
-            self._node_tables[node] = tables
-        return tables
+    def _build_urns_scalar(self) -> None:
+        """The pure-Python builder: :func:`build_alias_tables` per
+        internal node, written into the same flat layout as lists (numpy
+        copies are made on the first numpy-tier plan, :meth:`_numpy_urns`)."""
+        tree = self._tree
+        span_lo, span_hi = tree.span_arrays()
+        internal = [node for node in tree.iter_nodes() if not tree.is_leaf(node)]
+        total = sum(span_hi[node] - span_lo[node] for node in internal)
+        offsets = [total] * tree.node_count
+        prob: List[float] = []
+        alias: List[int] = []
+        for node in internal:
+            offsets[node] = len(prob)
+            node_prob, node_alias = build_alias_tables(
+                self.weights[span_lo[node]:span_hi[node]]
+            )
+            prob += node_prob
+            alias += node_alias
+        prob.append(1.0)
+        alias.append(0)
+        self._adopt_urns(prob, alias, offsets)
+
+    def _adopt_urns(self, prob, alias, offsets) -> None:
+        """Install a flat urn layout: lists from the scalar builder, or
+        numpy arrays from the packed builder or a shared-memory attach
+        (which the batch pass then reads as they are)."""
+        self._urns = (prob, alias, offsets)
+        self._np_urns = None
+        if not isinstance(prob, list):
+            arrays = self._tree.numpy_arrays()
+            self._np_urns = (prob, alias, offsets, arrays["lo"], arrays["hi"])
+
+    def _numpy_urns(self):
+        """``(prob, alias, offsets, span_lo, span_hi)`` as numpy arrays,
+        or ``None`` on the scalar tier. A scalar build's lists are
+        converted on first use; racing first calls build equal values,
+        and the memo is filled by one assignment, so no lock is needed."""
+        urns = self._np_urns
+        if urns is None and kernels.HAVE_NUMPY:
+            np = kernels.np
+            prob, alias, offsets = self._urns
+            span_lo, span_hi = self._tree.span_arrays()
+            urns = self._np_urns = (
+                np.asarray(prob, dtype=np.float64),
+                *(np.asarray(a, dtype=np.intp) for a in (alias, offsets, span_lo, span_hi)),
+            )
+        return urns
 
     def _build_plan(self, lo: int, hi: int, hint: Any = None) -> QueryPlan:
         """The Lemma-2 plan for ``[lo, hi)``.
 
-        The payload is ``(split, entries)``: ``split`` is the
+        The payload is ``(split, parts, table)``: ``split`` is the
         :class:`~repro.core.schemes.PreparedSplit` over the cover weights
         (its tier state is resolved on the first draw and kept, and
-        threads racing that draw build equal values), and each entry is
-        ``(node, node_lo, tables_or_None)`` — ``None`` marks a leaf.
-        Resolving spans and tables at plan time keeps the warm-cache query
-        path free of per-node tree lookups. The hint is the cover node
-        ids (tables are re-resolved locally — they are views into this
-        instance's structure, not shippable data).
+        threads racing that draw build equal values); each part is
+        ``(offset, size, base)`` as ints, the node's table offset in the
+        flat urns, its urn count (1 for a leaf) and its first key index;
+        ``table`` holds the same parts as a ``3 × k`` ``intp`` matrix for
+        the batch pass (``None`` on the scalar tier). One gather over the
+        cover node ids resolves them, so the query path does no per-node
+        lookups. The hint is the cover node ids.
         """
         tree = self._tree
         cover = list(hint) if hint is not None else tree.canonical_nodes_for_span(lo, hi)
-        entries = []
-        spans = []
-        for node in cover:
-            node_lo, node_hi = tree.leaf_span(node)
-            spans.append((node_lo, node_hi))
-            tables = None if tree.is_leaf(node) else self._node_table(node)
-            entries.append((node, node_lo, tables))
+        urns = self._numpy_urns()
+        if urns is None:
+            _, _, offsets = self._urns
+            span_lo, span_hi = tree.span_arrays()
+            parts = [(offsets[u], span_hi[u] - span_lo[u], span_lo[u]) for u in cover]
+            table = None
+        else:
+            np = kernels.np
+            _, _, offsets, span_lo, span_hi = urns
+            ids = np.array(cover, dtype=np.intp)
+            bases = span_lo[ids]
+            table = np.array((offsets[ids], span_hi[ids] - bases, bases), dtype=np.intp)
+            parts = table.T.tolist()
         cover_weights = tuple(tree.node_weight(u) for u in cover)
         return QueryPlan(
             self.plan_kind,
             (lo, hi),
-            spans=tuple(spans),
+            spans=tuple((base, base + size) for _, size, base in parts),
             weights=cover_weights,
-            payload=(PreparedSplit(cover_weights), entries),
+            payload=(PreparedSplit(cover_weights), parts, table),
             hint=tuple(cover),
         )
 
@@ -617,78 +638,60 @@ class AliasAugmentedRangeSampler(RangeSamplerBase):
         return indices if isinstance(indices, list) else indices.tolist()
 
     def _draw(self, plan: QueryPlan, s: int, rng: RNGLike):
-        """The Lemma-2 draw loop: ``s`` indices from ``plan``, cover part
-        by cover part.
+        """The Lemma-2 draw: ``s`` indices from ``plan``, in cover order.
 
-        Each part's indices stay as drawn — an ``intp`` array from the
-        batch kernel, a list from the scalar urn loop — and the parts
-        join in cover order: with one ``np.concatenate`` into an
-        ``intp`` array when any part came from the kernel, as a flat
-        list otherwise (small requests never touch numpy).
+        From :data:`kernels.BATCH_MIN_SIZE` draws on, every part's draws
+        come from one :func:`kernels.ragged_alias_draw` pass over the flat
+        urns, returned as an ``intp`` array; below it the inline urn loop
+        returns a list (small requests never touch numpy).
         """
         rng = self._rng if rng is None else rng
         enabled = obs.ENABLED
         if enabled:
             _L2_QUERIES.inc()
             _L2_DRAWS.add(s)
-        split, entries = plan.payload
+        split, parts, table = plan.payload
         counts = split.counts(s, rng)
-        batched = kernels.use_batch(s)
-        gen = kernels.batch_generator(rng) if batched else None
+        if enabled:
+            # Urn probes: each draw from an internal node touches exactly
+            # one urn of the node's pre-built alias table (Lemma 2's O(1)
+            # per-sample step); leaf draws probe none. One pass over the
+            # O(log n) parts.
+            probes = sum(count for (_, size, _), count in zip(parts, counts) if size > 1)
+            if probes:
+                _L2_PROBES.add(probes)
+        if kernels.use_batch(s):
+            np = kernels.np
+            prob, alias = self._np_urns[:2]
+            offsets, sizes, bases = table
+            which = np.repeat(np.arange(len(parts)), counts)
+            picks = kernels.ragged_alias_draw(
+                prob, alias, offsets, sizes, which, kernels.batch_generator(rng)
+            )
+            picks += bases[which]
+            return picks
         random = rng.random
-        parts: list = []
-        kernel_parts = False
-        probes = 0
-        for (node, node_lo, tables), count in zip(entries, counts):
+        prob, alias, _ = self._urns
+        result: List[int] = []
+        for (offset, size, base), count in zip(parts, counts):
             if count == 0:
                 continue
-            if tables is None:  # leaf
-                parts.append([node_lo] * count)
+            if size == 1:  # a leaf
+                result += [base] * count
                 continue
-            if enabled:
-                # Urn probes: each non-leaf draw touches exactly one urn
-                # of the node's pre-built alias table (Lemma 2's O(1)
-                # per-sample step). Accumulated per cover part, ≤ 2 log n
-                # parts, so the bookkeeping is O(log n) per query.
-                probes += count
-            if batched and count >= kernels.BATCH_MIN_SIZE:
-                prob, alias = self._np_tables_for(node)
-                draws = kernels.alias_draw_batch(prob, alias, count, gen)
-                parts.append(draws + node_lo)
-                kernel_parts = True
-            else:
+            for _ in range(count):
                 # alias_draw, inlined: the same two random() calls per draw.
-                prob, alias = tables
-                n = len(prob)
-                part = []
-                for _ in range(count):
-                    urn = int(random() * n)
-                    if urn == n:
-                        urn = n - 1
-                    part.append(
-                        int(node_lo + (urn if random() < prob[urn] else alias[urn]))
-                    )
-                parts.append(part)
-        if enabled and probes:
-            _L2_PROBES.add(probes)
-        if kernel_parts:
-            return kernels.np.concatenate(parts).astype(kernels.np.intp, copy=False)
-        return [index for part in parts for index in part]
-
-    def _np_tables_for(self, node: int):
-        tables = self._np_node_tables.get(node)
-        if tables is None:
-            prob, alias = self._node_table(node)
-            if isinstance(prob, kernels.np.ndarray):
-                tables = (prob, alias)  # packed build: already numpy views
-            else:
-                tables = kernels.as_alias_arrays(prob, alias)
-            self._np_node_tables[node] = tables
-        return tables
+                urn = int(random() * size)
+                if urn == size:
+                    urn = size - 1
+                slot = offset + urn
+                result.append(int(base + (urn if random() < prob[slot] else alias[slot])))
+        return result
 
     def space_words(self) -> int:
-        tree_words = 6 * self._tree.node_count
-        return tree_words + 2 * self._table_entry_count
+        # 6 words per tree node and 2 per urn; the per-node offset index
+        # is not counted, like the tree's other indexes.
+        return 6 * self._tree.node_count + 2 * len(self._urns[0])
 
 
 class ChunkedRangeSampler(RangeSamplerBase):
@@ -902,24 +905,24 @@ class ChunkedRangeSampler(RangeSamplerBase):
 
         All per-chunk alias tables are packed into ``g × chunk_size``
         matrices (built lazily, O(n) space — the structure is already
-        O(n)), so the intra-chunk draw for every token is a single
-        vectorized urn-pick + biased-coin step regardless of how the
-        tokens scatter across chunks.
+        O(n)), so the intra-chunk draw for every token is one
+        :func:`kernels.ragged_alias_draw` pass over the flattened
+        matrices, however the tokens scatter across chunks.
         """
         np = kernels.np
         prob_mat, alias_mat, lengths, starts = self._ensure_chunk_matrix()
-        gen = kernels.batch_generator(rng)
         chunks = np.asarray(chunk_draws, dtype=np.intp)
         if obs.ENABLED:
             # np.unique is an enabled-only cost: the distinct-chunk count
             # is exactly the "chunk touches" quantity §4.2's two-level
             # bound charges for.
             _CH_TOUCHES.add(int(np.unique(chunks).size))
-        count = len(chunks)
-        sizes = lengths[chunks]
-        urns = np.minimum((gen.random(count) * sizes).astype(np.intp), sizes - 1)
-        keep = gen.random(count) < prob_mat[chunks, urns]
-        picks = np.where(keep, urns, alias_mat[chunks, urns])
+        # Row ``c`` of the matrices is the flat table at offset
+        # ``c * chunk_size = starts[c]``.
+        picks = kernels.ragged_alias_draw(
+            prob_mat.ravel(), alias_mat.ravel(), starts, lengths, chunks,
+            kernels.batch_generator(rng),
+        )
         return (starts[chunks] + picks).tolist()
 
     def _build_plan(self, lo: int, hi: int, hint: Any = None) -> QueryPlan:

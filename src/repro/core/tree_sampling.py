@@ -291,13 +291,13 @@ class TreeSampler(EngineSampler):
             if len(pending) == 0:
                 break
             for node in np.unique(nodes[pending]):
-                prob, alias, children = self._np_tables_for(int(node))
+                prob, alias, children = self._np_children_of(int(node))
                 at = pending[nodes[pending] == node]
                 choices = kernels.alias_draw_batch(prob, alias, len(at), gen)
                 nodes[at] = children[choices]
         return nodes.tolist()
 
-    def _np_tables_for(self, node: int):
+    def _np_children_of(self, node: int):
         tables = self._np_child_tables.get(node)
         if tables is None:
             prob, alias = self._child_tables[node]

@@ -147,7 +147,9 @@ class HalfplaneIndex:
         for layer in range(self._layers.num_layers):
             runs = self._vertex_arc(layer, a, b)
             if runs is None:
-                break  # deeper layers are inside this hull → also above
+                if self._prunes(layer):
+                    break  # deeper layers are inside this hull → also above
+                continue
             vertex_spans = self._layers.layer_vertex_spans[layer]
             layer_lo, layer_hi = self._layers.layer_bounds[layer]
             for start_vertex, stop_vertex in runs:
@@ -175,6 +177,16 @@ class HalfplaneIndex:
         touched = 0
         for layer in range(self._layers.num_layers):
             touched += 1
-            if self._vertex_arc(layer, a, b) is None:
+            if self._vertex_arc(layer, a, b) is None and self._prunes(layer):
                 break
         return touched
+
+    def _prunes(self, layer: int) -> bool:
+        """Whether an empty ``layer`` proves every deeper layer empty.
+
+        Only a layer with an interior can: the hull drops points whose
+        float orientation reads collinear, so a deeper point may sit a
+        rounding error outside a one- or two-vertex layer (a point or a
+        segment), on the other side of the query line.
+        """
+        return len(self._layers.layer_vertices[layer]) >= 3

@@ -16,7 +16,7 @@ The batch sampling kernels have their own harness
    both must accept the common target (near-zero, one-dominant, and
    all-equal weights included, per the PR checklist).
 3. **Structure-level dispatch** — samplers built under the numpy path
-   and under the forced scalar fallback expose per-node tables with
+   and under the forced scalar fallback lay out per-node tables with
    identical implied distributions.
 """
 
@@ -220,6 +220,8 @@ class TestStructureDispatchEquivalence:
             scalar_sampler, weights = self.build(True, scalar_patch)
         batch_sampler, _ = self.build(False, monkeypatch)
         assert kernels.use_batch_build(self.N)
+        assert isinstance(scalar_sampler._urns[0], list)
+        assert isinstance(batch_sampler._urns[0], np.ndarray)
         tree = batch_sampler._tree
         for node in tree.iter_nodes():
             if tree.is_leaf(node):
@@ -227,8 +229,12 @@ class TestStructureDispatchEquivalence:
             lo, hi = tree.leaf_span(node)
             span_weights = weights[lo:hi]
             for sampler in (scalar_sampler, batch_sampler):
-                prob, alias = sampler._node_table(node)
-                assert_encodes(prob, alias, span_weights)
+                # The node's segment of the flat layout: its span size
+                # of urns at its offset, with segment-local aliases.
+                prob, alias, offsets = sampler._urns
+                start = offsets[node]
+                segment = slice(start, start + hi - lo)
+                assert_encodes(prob[segment], alias[segment], span_weights)
 
     def test_space_accounting_matches_dispatch_paths(self, monkeypatch):
         with pytest.MonkeyPatch.context() as scalar_patch:

@@ -136,6 +136,11 @@ def test_seed_and_generator_overrides_agree(spec):
 #: Specs whose query methods take an int ``rng`` directly (normalized
 #: once per call, as the ``RNGLike`` annotation promises).
 INT_SEED_SPECS = (
+    "coverage",
+    "coverage.halfplane",
+    "coverage.kdtree",
+    "coverage.quadtree",
+    "coverage.rangetree",
     "range.chunked",
     "range.integer",
     "range.lemma2",
@@ -159,6 +164,25 @@ def test_int_rng_matches_seeded_request(spec, s):
             assert method(*template.args, s, rng=7) == expected
     finally:
         engine.close()
+
+
+def test_int_rng_seeds_a_chunked_coverage_query_once():
+    # Non-uniform weights take the chunked backend. An int normalized
+    # per part would re-seed the split and each cover part with its own
+    # Random(seed): over seeds 0-1999, two draws would land at the same
+    # offset of the two cover halves 18 times, against 62.5 expected.
+    from repro.core.coverage import BSTIndex, CoverageSampler
+
+    keys = [float(i) for i in range(64)]
+    weights = [2.0] + [1.0] * 63
+    sampler = CoverageSampler(BSTIndex(keys, weights))
+    assert sampler.backend == "chunked"
+    query = (16.0, 47.0)
+    assert len(sampler.plan_query(query).spans) == 2
+    for seed in range(50):
+        assert sampler.sample(query, 2, rng=seed) == sampler.sample(
+            query, 2, rng=random.Random(seed)
+        )
 
 
 @pytest.mark.parametrize(

@@ -60,8 +60,6 @@ class TestRoundTrip:
         ],
     )
     def test_attached_draws_are_byte_identical(self, factory, label):
-        if label == "lemma2" and not kernels.HAVE_NUMPY:
-            pytest.skip("lemma2 shares its flat-table (numpy build) form only")
         keys, weights = make_keys_weights()
         original = factory(keys, weights)
         manifest, segments = shm.export_sampler(original)
@@ -101,19 +99,22 @@ class TestRoundTrip:
             shm.export_sampler(build_faulty())
 
     def test_scalar_built_lemma2_round_trips(self, monkeypatch):
-        # A scalar build keeps per-node tables instead of the flat form;
-        # the exporter synthesizes the flat arrays so the attached copy
-        # still draws byte-identically.
+        # A scalar build writes the flat layout as lists; the exporter
+        # shares them as arrays, and the attached copy still draws
+        # byte-identically: s=8 through the urn loop, s=200 through the
+        # batch pass where numpy is on.
         monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
         keys, weights = make_keys_weights(200)
         scalar_form = AliasAugmentedRangeSampler(keys, weights, rng=3)
-        assert scalar_form._flat_tables is None
+        assert all(isinstance(part, list) for part in scalar_form._urns)
+        monkeypatch.undo()
         manifest, segments = shm.export_sampler(scalar_form)
         try:
             attached = shm.attach_sampler(manifest)
             lo, hi = keys[10], keys[-10]
-            expected = scalar_form.sample(lo, hi, 200, rng=ensure_rng(99))
-            assert attached.sample(lo, hi, 200, rng=ensure_rng(99)) == expected
+            for s in (8, 200):
+                expected = scalar_form.sample(lo, hi, s, rng=ensure_rng(99))
+                assert attached.sample(lo, hi, s, rng=ensure_rng(99)) == expected
         finally:
             shm.unlink_segments(segments)
 
@@ -188,10 +189,7 @@ class TestEngineIntegration:
 
     def test_spawn_start_method(self):
         keys, weights = make_keys_weights(800)
-        if kernels.HAVE_NUMPY:
-            sampler = AliasAugmentedRangeSampler(keys, weights, rng=3)
-        else:  # scalar build: lemma2 has no flat tables, share a treewalk
-            sampler = TreeWalkRangeSampler(keys, weights, rng=3)
+        sampler = AliasAugmentedRangeSampler(keys, weights, rng=3)
         requests = range_requests(keys, count=4, s=8)
         serial = SamplingEngine(backend="serial", seed=7).run(sampler, requests)
         with SamplingEngine(

@@ -124,6 +124,31 @@ class TestLemma2Probes:
         assert 0 < probes <= draws
 
 
+    @pytest.mark.parametrize("s", [5, 64])
+    def test_leaf_draws_probe_no_urn(self, metrics_on, s):
+        """Draws from a leaf of the cover probe no urn, on both the urn
+        loop and the batch pass; a batch draw is one numpy dispatch."""
+        import random
+
+        from repro.core import kernels
+
+        weights = [1.0] * 96
+        weights[5] = weights[90] = 20.0  # the cover's two leaves get draws
+        sampler = AliasAugmentedRangeSampler(_keys(96), weights, rng=3)
+        tree = sampler._tree
+        cover = tree.canonical_nodes_for_span(5, 91)
+        leaves = {tree.leaf_span(u)[0] for u in cover if tree.is_leaf(u)}
+        assert leaves == {5, 90}
+        obs.reset()
+        draws = sampler.sample_indices(5.0, 90.0, s, rng=random.Random(11))
+        leaf_draws = sum(index in leaves for index in draws)
+        assert 0 < leaf_draws < s
+        assert obs.value("range.lemma2.draws") == s
+        assert obs.value("range.lemma2.urn_probes") == s - leaf_draws
+        batched = kernels.HAVE_NUMPY and s >= kernels.BATCH_MIN_SIZE
+        assert obs.value("kernels.dispatch.numpy") == (1 if batched else 0)
+
+
 class TestChunkedTouches:
     def test_touches_bounded_by_s_plus_partials(self, metrics_on):
         sampler = ChunkedRangeSampler(_keys(8_192), rng=4)

@@ -1,6 +1,6 @@
 """Property-based tests: halfplane covers vs brute force."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.substrates.convex_layers import ConvexLayers, convex_hull
@@ -44,6 +44,11 @@ def test_layers_partition(points):
     b=st.floats(min_value=-120.0, max_value=120.0, allow_nan=False),
 )
 @settings(max_examples=100, deadline=None)
+# (0, 0) is a strict hull vertex, but the float orientation of the three
+# points reads collinear, so it is peeled into a second layer behind a
+# two-vertex first layer that lies above the line: that empty layer
+# must not end the walk.
+@example(points=[(0.0, 0.0), (0.0, 2.8378579152865617e-111), (-1.0, 1.0)], a=0.0, b=0.0)
 def test_halfplane_cover_matches_brute_force(points, a, b):
     index = HalfplaneIndex(points)
     expected = sorted(p for p in points if p[1] - a * p[0] - b <= 0)
