@@ -255,7 +255,7 @@ class ApproxCoverSampler(EngineSampler):
         """``s`` accepted positions, drawn from ``rng`` (else the instance
         stream)."""
         index = self._index
-        rng = self._rng if rng is None else rng
+        rng = self._rng if rng is None else ensure_rng(rng)
         result: List[int] = []
         while len(result) < s:
             attempts = 0

@@ -282,7 +282,7 @@ class DynamicRangeSampler(RangeQueryMixin, Generic[K]):
         """Draw ``s`` samples from a plan (all randomness spent here,
         from ``rng`` or else the instance stream)."""
         cover, cumulative, running = plan.payload
-        rng = self._rng if rng is None else rng
+        rng = self._rng if rng is None else ensure_rng(rng)
         result: List[K] = []
         for _ in range(s):
             target = rng.random() * running

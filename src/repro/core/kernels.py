@@ -16,10 +16,14 @@ the batch path unavailable, and all samplers silently fall back to their
 original pure-Python scalar loops — the library never hard-imports numpy.
 
 Determinism: each sampler owns a ``random.Random``. The batch path derives
-a ``numpy.random.Generator`` from that generator exactly once (consuming
-64 bits of its stream) and caches it on the ``Random`` instance, so two
-samplers built with the same seed and driven by the same call sequence
-produce identical sample streams — on the scalar *and* the batch path.
+a ``numpy.random.Generator`` (``PCG64DXSM``) from that generator exactly
+once (keying it from 256 bits of its stream) and caches it on the
+``Random`` instance, so two samplers built with the same seed and driven
+by the same call sequence produce identical sample streams — on the
+scalar *and* the batch path. The generator object itself comes from the
+calling thread's free list when one is idle
+(:mod:`repro.substrates.rng` documents which streams the engine
+recycles).
 
 Kernels draw from the same distributions as the scalar loops they replace
 (verified by the chi-square equivalence harness in
@@ -34,6 +38,7 @@ import random
 from typing import Any, List, Sequence, Tuple
 
 from repro.substrates.env import env_flag
+from repro.substrates.rng import GENERATOR_ATTR, free_generators
 
 try:  # pragma: no cover - exercised both ways across environments
     import numpy as np
@@ -88,7 +93,7 @@ _BUILD_SCALAR_CUTOFF = 256
 #: array passes — the scalar finish then completes the remainder exactly.
 _BUILD_MAX_PASSES = 64
 
-_GEN_ATTR = "_repro_batch_generator"
+_MASK128 = (1 << 128) - 1
 
 # Dispatch-ladder counters (repro.obs). "scalar" counts batch requests
 # that fell through to the pure-Python loops; "numpy"/"jit" count batched
@@ -139,13 +144,31 @@ def use_batch_build(n: int) -> bool:
 def batch_generator(rng: random.Random) -> "np.random.Generator":
     """The numpy Generator paired with ``rng``, derived and cached once.
 
-    Seeding from ``rng.getrandbits(64)`` keeps the whole sampler — scalar
-    and batch streams together — a pure function of the original seed.
+    A ``Generator(PCG64DXSM)`` keyed from ``rng.getrandbits(256)``: the
+    high 128 bits are its state, the low 128 (forced odd) its increment.
+    Keying from the stream keeps the whole sampler — scalar and batch
+    streams together — a pure function of the original seed. The object
+    is popped from the calling thread's free list when one is idle (built
+    only when the list is empty), and every field of its state is
+    overwritten, so nothing carries over from the stream that used it
+    last.
+
+    Invariant: no caller keeps the returned generator past the call that
+    asked for it. The engine may recycle it once the ``Random`` that owns
+    it is released (:func:`repro.substrates.rng.release_stream`).
     """
-    generator = getattr(rng, _GEN_ATTR, None)
+    generator = getattr(rng, GENERATOR_ATTR, None)
     if generator is None:
-        generator = np.random.default_rng(rng.getrandbits(64))
-        setattr(rng, _GEN_ATTR, generator)
+        free = free_generators()
+        generator = free.pop() if free else np.random.Generator(np.random.PCG64DXSM())
+        bits = rng.getrandbits(256)
+        generator.bit_generator.state = {
+            "bit_generator": "PCG64DXSM",
+            "state": {"state": bits >> 128, "inc": (bits & _MASK128) | 1},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        setattr(rng, GENERATOR_ATTR, generator)
     return generator
 
 

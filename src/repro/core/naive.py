@@ -91,11 +91,12 @@ class NaiveSetUnionSampler(EngineSampler):
                     union.append(element)
         if not union:
             raise EmptyQueryError("union of the queried sets is empty")
-        rng = self._rng if rng is None else rng
+        rng = self._rng if rng is None else ensure_rng(rng)
         return union[int(rng.random() * len(union))]
 
     def sample_many(
         self, group: Sequence[int], s: int, *, rng: RNGLike = None
     ) -> List[T]:
         validate_sample_size(s)
+        rng = self._rng if rng is None else ensure_rng(rng)
         return [self.sample(group, rng=rng) for _ in range(s)]

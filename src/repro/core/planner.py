@@ -31,8 +31,9 @@ explicit:
 
 ``PlanScope``
     One sampler's view of a store: the sampler-facing ``plan_cache``
-    attribute. It carries the fingerprint, delegates ``get``/``put``,
-    and keeps per-instance hit/miss/eviction tallies.
+    attribute. It carries the fingerprint, looks plans up without a
+    lock, delegates ``put``, and reports per-instance
+    hit/miss/eviction tallies.
 
 Because a plan is deterministic, caching and shipping plans cannot
 change any query's output — only its latency. Byte-identity of the
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+import weakref
 from collections import OrderedDict
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
@@ -197,30 +199,82 @@ class QueryPlan:
         )
 
 
+def _fold_ended(
+    live: List[Tuple[Any, Dict[int, List[int]]]], retired: Dict[int, List[int]]
+) -> None:
+    """Fold the tallies of threads that have ended into ``retired``
+    (the caller holds the store's lock)."""
+    running = []
+    for thread_ref, counts in live:
+        thread = thread_ref()
+        if thread is not None and thread.is_alive():
+            running.append((thread_ref, counts))
+            continue
+        for fingerprint, (hits, misses) in counts.items():
+            totals = retired.setdefault(fingerprint, [0, 0])
+            totals[0] += hits
+            totals[1] += misses
+    live[:] = running
+
+
+class _Tallies(threading.local):
+    """One thread's ``fingerprint -> [hits, misses]`` for one store.
+
+    Only its own thread writes it, so a lookup counts without a lock.
+    The store sums the running threads' dicts on read, and folds the
+    dicts of threads that ended into its retired totals whenever it
+    reads or a new thread registers, so thread churn does not grow it.
+    """
+
+    def __init__(
+        self,
+        live: List[Tuple[Any, Dict[int, List[int]]]],
+        retired: Dict[int, List[int]],
+        lock: Any,
+    ) -> None:
+        self.counts: Dict[int, List[int]] = {}
+        with lock:
+            _fold_ended(live, retired)
+            live.append((weakref.ref(threading.current_thread()), self.counts))
+
+
 class PlanStore:
     """Bounded LRU of query plans, shared across samplers.
 
     Entries are keyed ``(fingerprint, kind, key)``; per-fingerprint
     hit/miss/eviction tallies are kept so each sampler's
     :class:`PlanScope` can report its own numbers even though the
-    storage (and the LRU pressure) is shared.
+    storage (and the LRU pressure) is shared. Lookups go through a
+    scope (:meth:`PlanScope.get`) and take no lock; writers do.
 
     Capacity ``None`` defers to ``REPRO_PLAN_CACHE_SIZE`` then
     :data:`DEFAULT_CAPACITY`; ``0`` disables the store outright (every
     lookup is a bypass; counters stay at zero).
     """
 
-    __slots__ = ("_capacity", "_entries", "_lock", "_scope_stats")
+    __slots__ = (
+        "_capacity",
+        "_entries",
+        "_lock",
+        "_evictions",
+        "_live",
+        "_retired",
+        "_tallies",
+    )
 
     def __init__(self, capacity: Optional[int] = None):
         self._capacity = resolve_capacity(capacity)
         self._entries: "OrderedDict[Tuple[int, str, Hashable], Any]" = OrderedDict()
-        # The engine's thread backend drives concurrent queries through
-        # one sampler; move_to_end/popitem are not atomic, so reads take
-        # the lock too (plan computation itself stays outside it).
+        # Writers (put, clears, tally bookkeeping) take the lock. A
+        # lookup does not: each OrderedDict call it makes is one atomic
+        # step, and it counts in its own thread's tallies.
         self._lock = threading.Lock()
-        # fingerprint -> [hits, misses, evictions]
-        self._scope_stats: Dict[int, List[int]] = {}
+        self._evictions: Dict[int, int] = {}
+        # Hit/miss tallies: one dict per running thread (with a weak
+        # reference to the thread), plus the totals of threads that ended.
+        self._live: List[Tuple[Any, Dict[int, List[int]]]] = []
+        self._retired: Dict[int, List[int]] = {}
+        self._tallies = _Tallies(self._live, self._retired, self._lock)
 
     @property
     def capacity(self) -> int:
@@ -233,45 +287,24 @@ class PlanStore:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _stats_for(self, fingerprint: int) -> List[int]:
-        stats = self._scope_stats.get(fingerprint)
-        if stats is None:
-            stats = self._scope_stats.setdefault(fingerprint, [0, 0, 0])
-        return stats
-
     def scope_counts(self, fingerprint: int) -> Tuple[int, int, int]:
         """``(hits, misses, evictions)`` attributed to one fingerprint."""
-        stats = self._scope_stats.get(fingerprint)
-        return (0, 0, 0) if stats is None else tuple(stats)
+        hits = misses = 0
+        with self._lock:
+            _fold_ended(self._live, self._retired)
+            for counts in (*(counts for _, counts in self._live), self._retired):
+                stats = counts.get(fingerprint)
+                if stats is not None:
+                    hits += stats[0]
+                    misses += stats[1]
+            return hits, misses, self._evictions.get(fingerprint, 0)
 
     def scope_size(self, fingerprint: int) -> int:
         """Entries currently held for one fingerprint (O(store) scan —
         a diagnostics accessor, not a hot path)."""
-        with self._lock:
-            return sum(1 for fp, _, _ in self._entries if fp == fingerprint)
-
-    def get(self, fingerprint: int, kind: str, key: Hashable) -> Any:
-        """The cached plan, or ``None`` (recorded as a miss)."""
-        if self._capacity == 0:
-            return None
-        full_key = (fingerprint, kind, key)
-        with self._lock:
-            entry = self._entries.get(full_key, _MISSING)
-            if entry is _MISSING:
-                self._stats_for(fingerprint)[1] += 1
-                hit = False
-            else:
-                self._entries.move_to_end(full_key)
-                self._stats_for(fingerprint)[0] += 1
-                hit = True
-        if obs.ENABLED:
-            if hit:
-                _HITS.inc()
-                _kind_counter(kind, "hits").inc()
-            else:
-                _MISSES.inc()
-                _kind_counter(kind, "misses").inc()
-        return None if entry is _MISSING else entry
+        # list() copies the keys in one step, so a concurrent lookup's
+        # move_to_end cannot interrupt the scan.
+        return sum(1 for fp, _, _ in list(self._entries) if fp == fingerprint)
 
     def put(self, fingerprint: int, kind: str, key: Hashable, plan: Any) -> None:
         """Insert (or refresh) a plan, evicting the LRU entry if full."""
@@ -286,7 +319,7 @@ class PlanStore:
             entries[full_key] = plan
             if len(entries) > self._capacity:
                 evicted = entries.popitem(last=False)[0]
-                self._stats_for(evicted[0])[2] += 1
+                self._evictions[evicted[0]] = self._evictions.get(evicted[0], 0) + 1
         if evicted is not None and obs.ENABLED:
             _EVICTIONS.inc()
             _kind_counter(evicted[1], "evictions").inc()
@@ -294,7 +327,9 @@ class PlanStore:
     def clear_scope(self, fingerprint: int) -> None:
         """Drop one fingerprint's plans; its counters are preserved."""
         with self._lock:
-            stale = [k for k in self._entries if k[0] == fingerprint]
+            # list(): a concurrent lookup's move_to_end would break a
+            # live iteration.
+            stale = [k for k in list(self._entries) if k[0] == fingerprint]
             for k in stale:
                 del self._entries[k]
 
@@ -304,10 +339,7 @@ class PlanStore:
             self._entries.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"PlanStore(capacity={self._capacity}, size={len(self._entries)}, "
-            f"scopes={len(self._scope_stats)})"
-        )
+        return f"PlanStore(capacity={self._capacity}, size={len(self._entries)})"
 
 
 class PlanScope:
@@ -340,7 +372,37 @@ class PlanScope:
         return self._store
 
     def get(self, key: Hashable) -> Any:
-        return self._store.get(self.fingerprint, self.kind, key)
+        """The cached plan, or ``None`` (recorded as a miss).
+
+        The hit path takes no lock: the read and the LRU touch are one
+        atomic OrderedDict call each, and the tally is this thread's
+        own. A plan evicted by a concurrent ``put`` between the two is
+        still returned (plans are immutable values).
+        """
+        store = self._store
+        if store._capacity == 0:
+            return None
+        full_key = (self.fingerprint, self.kind, key)
+        plan = store._entries.get(full_key, _MISSING)
+        counts = store._tallies.counts
+        stats = counts.get(self.fingerprint)
+        if stats is None:
+            stats = counts[self.fingerprint] = [0, 0]
+        if plan is _MISSING:
+            stats[1] += 1
+            if obs.ENABLED:
+                _MISSES.inc()
+                _kind_counter(self.kind, "misses").inc()
+            return None
+        stats[0] += 1
+        try:
+            store._entries.move_to_end(full_key)
+        except KeyError:  # evicted since the read
+            pass
+        if obs.ENABLED:
+            _HITS.inc()
+            _kind_counter(self.kind, "hits").inc()
+        return plan
 
     def put(self, key: Hashable, plan: Any) -> None:
         self._store.put(self.fingerprint, self.kind, key, plan)

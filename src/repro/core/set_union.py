@@ -248,7 +248,7 @@ class SetUnionSampler(EngineSampler):
         if all(len(self._family[i]) == 0 for i in group):
             raise EmptyQueryError("union of the queried sets is empty")
 
-        rng = self._rng if rng is None else rng
+        rng = self._rng if rng is None else ensure_rng(rng)
         if self._rebuild_after and self._queries_since_rebuild >= self._rebuild_after:
             self.rebuild(rng)
 
@@ -312,7 +312,7 @@ class SetUnionSampler(EngineSampler):
         batch at rebuild boundaries.
         """
         validate_sample_size(s)
-        rng = self._rng if rng is None else rng
+        rng = self._rng if rng is None else ensure_rng(rng)
         if not kernels.use_batch(s):
             return [self.sample(group, rng=rng) for _ in range(s)]
         group = list(group)

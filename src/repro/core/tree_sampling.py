@@ -22,6 +22,7 @@ Two structures:
 
 from __future__ import annotations
 
+import random
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -254,7 +255,7 @@ class TreeSampler(EngineSampler):
         if obs.ENABLED:
             _TOPDOWN_DRAWS.inc()
         tree = self._tree
-        rng = self._rng if rng is None else rng
+        rng = self._rng if rng is None else ensure_rng(rng)
         node = q
         while not tree.is_leaf(node):
             prob, alias = self._child_tables[node]
@@ -270,11 +271,12 @@ class TreeSampler(EngineSampler):
         Python loop iteration.
         """
         validate_sample_size(s)
+        rng = self._rng if rng is None else ensure_rng(rng)
         if kernels.use_batch(s):
             return self._sample_many_batch(q, s, rng)
         return [self.sample(q, rng=rng) for _ in range(s)]
 
-    def _sample_many_batch(self, q: int, s: int, rng: RNGLike = None) -> List[int]:
+    def _sample_many_batch(self, q: int, s: int, rng: random.Random) -> List[int]:
         if obs.ENABLED:
             _TOPDOWN_DRAWS.add(s)
         np = kernels.np
@@ -284,7 +286,7 @@ class TreeSampler(EngineSampler):
                 (tree.is_leaf(v) for v in range(len(tree))), dtype=bool, count=len(tree)
             )
         leaf = self._np_leaf_mask
-        gen = kernels.batch_generator(self._rng if rng is None else rng)
+        gen = kernels.batch_generator(rng)
         nodes = np.full(s, q, dtype=np.intp)
         while True:
             pending = np.nonzero(~leaf[nodes])[0]
@@ -377,7 +379,7 @@ class FlatTreeSampler(EngineSampler):
         if obs.ENABLED:
             _FLAT_DRAWS.add(s)
         lo, hi = self._span[q]
-        rng = self._rng if rng is None else rng
+        rng = self._rng if rng is None else ensure_rng(rng)
         if self._uniform:
             if kernels.use_batch(s):
                 gen = kernels.batch_generator(rng)

@@ -224,7 +224,7 @@ class DeamortizedSamplePoolSetSampler(_EMSetEngineMixin):
         when ``None``).
         """
         validate_sample_size(s)
-        rng = self._rng if rng is None else rng
+        rng = self._rng if rng is None else ensure_rng(rng)
         start_ios = self.machine.stats.total
         result: List = []
         while len(result) < s:

@@ -242,7 +242,7 @@ class EMRangeSampler(RangeQueryMixin):
         """Draw ``s`` samples from a plan (all randomness spent here, from
         ``rng`` or else the instance stream; consumes and refills the
         sample pools)."""
-        rng = self._rng if rng is None else rng
+        rng = self._rng if rng is None else ensure_rng(rng)
         units = plan.payload
         allocation = multinomial_split([weight for _, _, _, weight in units], s, rng)
         result: List[float] = []

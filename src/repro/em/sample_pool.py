@@ -91,7 +91,7 @@ class NaiveEMSetSampler(_EMSetEngineMixin):
         validate_sample_size(s)
         if obs.ENABLED:
             _EM_QUERIES.inc()
-        rng = self._rng if rng is None else rng
+        rng = self._rng if rng is None else ensure_rng(rng)
         n = len(self._data)
         return [self._data.get(int(rng.random() * n) % n) for _ in range(s)]
 

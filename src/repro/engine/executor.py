@@ -20,10 +20,10 @@ list of :class:`~repro.engine.protocol.QueryResult`:
   an **execution** backend (``"serial"`` in submission order;
   ``"thread"`` over one engine-owned
   :class:`~concurrent.futures.ThreadPoolExecutor`, started by the first
-  run, reused by every later one and released by :meth:`close` — on a
-  2-core x86_64 VM the ``cold-bulk`` benchmark workload (Lemma 2,
-  4 × s=4096 per call) runs at 0.63× its serial throughput on it,
-  because most of each request holds the GIL; the sharded placement's
+  run, reused by every later one and released by :meth:`close` — on
+  2 cores it runs the ``cold-bulk`` benchmark workload (Lemma 2,
+  4 × s=4096 per call) no faster than serial, because most of each
+  request holds the GIL; the sharded placement's
   shard draws fan out over the same pool; ``"process"`` over the
   engine's worker processes, :class:`~repro.engine.execution.Residents`
   — for CPU-bound scalar samplers the GIL serializes). Under the local

@@ -30,7 +30,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.engine.protocol import PlacementPlan, ShardTask
-from repro.substrates.rng import derive_seed, ensure_rng
+from repro.substrates.rng import derive_seed, ensure_rng, release_stream
 
 __all__ = [
     "BACKENDS",
@@ -109,7 +109,11 @@ def split_budget(weights: Sequence[float], s: int, base: int) -> List[int]:
     """
     from repro.core.schemes import multinomial_split
 
-    return multinomial_split(list(weights), s, rng=ensure_rng(derive_seed(base, 0)))
+    rng = ensure_rng(derive_seed(base, 0))
+    try:
+        return multinomial_split(list(weights), s, rng=rng)
+    finally:
+        release_stream(rng)
 
 
 def shard_seed(base: int, shard: int) -> int:

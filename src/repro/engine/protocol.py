@@ -51,7 +51,7 @@ from typing import (
 )
 
 from repro.errors import EmptyQueryError
-from repro.substrates.rng import ensure_rng, spawn_rng
+from repro.substrates.rng import ensure_rng, release_stream, spawn_rng
 
 __all__ = [
     "EngineOp",
@@ -324,7 +324,10 @@ class EngineSampler:
         or ``None``); when ``None``, ``request.seed`` is consulted, and
         failing that the sampler's instance stream is consumed. A seed
         builds a generator private to this request; a ``Random`` is
-        used (or, for ``spawn`` ops, advanced by 64 bits) as given.
+        used (or, for ``spawn`` ops, advanced by 64 bits) as given. A
+        generator this call builds returns its numpy generator to the
+        thread's free list when the op ends
+        (:func:`~repro.substrates.rng.release_stream`).
         Errors propagate — batch-level capture is the engine's job.
         """
         self.validate_request(request)
@@ -354,25 +357,33 @@ class EngineSampler:
         op = self.engine_ops[request.op]
         method = getattr(self, op.method)
         call_args = (*request.args, request.s) if op.takes_s else request.args
+        # ``own`` is a generator built for this call alone; it dies with
+        # the call, so its numpy generator goes back to the free list.
+        own = None
         if rng is None:
             kwargs = {}
-        elif not op.spawn:
-            kwargs = {"rng": ensure_rng(rng)}
         elif isinstance(rng, random.Random):
-            kwargs = {"rng": spawn_rng(rng)}
+            if op.spawn:
+                rng = own = spawn_rng(rng)
+            kwargs = {"rng": rng}
         else:
-            # A seed: the generator built from it is this call's own, so
-            # re-seed it in place to the state spawn_rng would give.
             own = ensure_rng(rng)
-            own.seed(own.getrandbits(64))
+            if op.spawn:
+                # A seed: re-seed this call's own generator in place to
+                # the state spawn_rng would give.
+                own.seed(own.getrandbits(64))
             kwargs = {"rng": own}
-        if self.engine_thread_safe:
-            return method(*call_args, **kwargs)
-        lock = self.__dict__.get("_execute_lock")
-        if lock is None:  # setdefault: racing first requests share one lock
-            lock = self.__dict__.setdefault("_execute_lock", threading.Lock())
-        with lock:
-            return method(*call_args, **kwargs)
+        try:
+            if self.engine_thread_safe:
+                return method(*call_args, **kwargs)
+            lock = self.__dict__.get("_execute_lock")
+            if lock is None:  # setdefault: racing first requests share one lock
+                lock = self.__dict__.setdefault("_execute_lock", threading.Lock())
+            with lock:
+                return method(*call_args, **kwargs)
+        finally:
+            if own is not None:
+                release_stream(own)
 
 
 class RangeQueryMixin(EngineSampler):

@@ -51,7 +51,7 @@ from repro.engine.execution import SerialShardRunner
 from repro.engine.placement import merge_indices, plan_fan_out
 from repro.engine.protocol import ShardTask
 from repro.errors import EmptyQueryError
-from repro.substrates.rng import RNGLike, ensure_rng, spawn_rng
+from repro.substrates.rng import RNGLike, ensure_rng, release_stream, spawn_rng
 
 __all__ = ["ShardedSampler", "run_shard_task", "shard_bounds"]
 
@@ -89,9 +89,12 @@ def run_shard_task(
     """
     shard = shards[task.shard]
     rng = ensure_rng(task.seed)
-    if plan is not None:
-        return task.shard, shard.execute_plan(plan, task.quota, rng=rng)
-    return task.shard, shard.sample_span(task.lo, task.hi, task.quota, rng=rng)
+    try:
+        if plan is not None:
+            return task.shard, shard.execute_plan(plan, task.quota, rng=rng)
+        return task.shard, shard.sample_span(task.lo, task.hi, task.quota, rng=rng)
+    finally:
+        release_stream(rng)
 
 
 def shard_bounds(n: int, num_shards: int) -> List[int]:

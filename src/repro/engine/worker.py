@@ -63,7 +63,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro import obs
 from repro.core import kernels
 from repro.engine.protocol import QueryRequest, QueryResult
-from repro.substrates.rng import ensure_rng
+from repro.substrates.rng import ensure_rng, release_stream
 
 __all__ = ["build_from_token", "execute", "serve"]
 
@@ -230,14 +230,15 @@ def _run_draw(
     trace_token = obs.set_current_trace(trace_id) if harvest else None
     started = time.perf_counter()
     error: Optional[Exception] = None
+    rng = ensure_rng(seed)
     try:
         sampler = _resident(key, token)
         with obs.span("worker.shard_draw", s=quota, shard=shard):
             if portable is not None and getattr(sampler, "plan_kind", None):
                 plan = sampler.plan_span(lo, hi, portable=portable)
-                local = sampler.execute_plan(plan, quota, rng=ensure_rng(seed))
+                local = sampler.execute_plan(plan, quota, rng=rng)
             else:
-                local = sampler.sample_span(lo, hi, quota, rng=ensure_rng(seed))
+                local = sampler.sample_span(lo, hi, quota, rng=rng)
         if kernels.use_batch(len(local)):
             # An array pickles as one buffer and feeds the parent's
             # merge kernel without a list walk on either side.
@@ -247,6 +248,7 @@ def _run_draw(
         error = _picklable_error(exc)
         outcome = ("err", error)
     finally:
+        release_stream(rng)
         if trace_token is not None:
             obs.reset_current_trace(trace_token)
     if harvest:

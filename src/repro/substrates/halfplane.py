@@ -4,8 +4,9 @@ Queries are lower halfplanes ``y ≤ a·x + b``. On every convex layer the
 qualifying points form one contiguous cyclic arc of hull vertices; the
 arc is located in ``O(log m)`` (extreme vertex + two monotone binary
 searches), layers are walked outside-in, and peeling stops at the first
-empty layer (everything deeper lies inside that layer's hull, hence above
-the line). The resulting spans are an **exact cover** in the sense of
+empty layer that proves every deeper point above the line (its hull
+holds them exactly, and its vertices clear the line by more than float
+rounding). The resulting spans are an **exact cover** in the sense of
 Theorem 5, so :class:`~repro.core.coverage.CoverageSampler` turns this
 into halfplane IQS — the 2D stand-in for Afshani–Wei's 3D halfspace
 structure (DESIGN.md §4).
@@ -18,12 +19,60 @@ their fractional cascading log shaving).
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from repro.substrates.convex_layers import ConvexLayers, Point2, PolygonExtremes
 
 Span = Tuple[int, int]
 Halfplane = Tuple[float, float]  # (a, b): y <= a*x + b
+
+#: Relative error bound of a float 2D orientation (Shewchuk's orient2d
+#: bound is 3.33e-16), plus an absolute floor for underflowed products.
+_ORIENT_REL, _ORIENT_ABS = 1e-15, 1e-300
+#: Twice the error bound of ``_below``'s float ``y - a*x - b``: 4 unit
+#: roundoffs of ``|y| + |a*x| + |b|``, plus an absolute underflow floor.
+_LINE_REL, _LINE_ABS = 8 * 2.0**-53, 2.0**-1060
+
+
+def _orientation(o: Point2, a: Point2, p: Point2) -> int:
+    """The exact sign of ``(a - o) × (p - o)``: a float filter, then rationals."""
+    left = (a[0] - o[0]) * (p[1] - o[1])
+    right = (a[1] - o[1]) * (p[0] - o[0])
+    det = left - right
+    if abs(det) > _ORIENT_REL * (abs(left) + abs(right)) + _ORIENT_ABS:
+        return 1 if det > 0 else -1
+    ox, oy = Fraction(o[0]), Fraction(o[1])
+    exact = (Fraction(a[0]) - ox) * (Fraction(p[1]) - oy) - (
+        Fraction(a[1]) - oy
+    ) * (Fraction(p[0]) - ox)
+    return (exact > 0) - (exact < 0)
+
+
+def _contains_deeper(layer_vertices: Sequence[Sequence[Point2]]) -> List[bool]:
+    """Per layer: whether its hull holds every deeper point, exactly.
+
+    The layers come from float orientation tests, so a deeper point can
+    sit a rounding error outside a layer's hull. Walking inside-out,
+    ``witnesses`` is a point set whose hull holds every point deeper than
+    the current layer: the layer's own vertices once its hull provably
+    holds them, else those vertices added to the deeper witnesses.
+    """
+    flags = [False] * len(layer_vertices)
+    witnesses: List[Point2] = []
+    for layer in range(len(layer_vertices) - 1, -1, -1):
+        hull = layer_vertices[layer]
+        m = len(hull)
+        if m >= 3 and all(
+            _orientation(hull[i], hull[(i + 1) % m], point) >= 0
+            for point in witnesses
+            for i in range(m)
+        ):
+            flags[layer] = True
+            witnesses = list(hull)
+        else:
+            witnesses = witnesses + list(hull)
+    return flags
 
 
 class HalfplaneIndex:
@@ -33,6 +82,13 @@ class HalfplaneIndex:
         self._layers = ConvexLayers(points, weights)
         self._extremes = [
             PolygonExtremes(hull) for hull in self._layers.layer_vertices
+        ]
+        self._contains_deeper = _contains_deeper(self._layers.layer_vertices)
+        # Per layer: the largest |x| and |y| of its vertices, which bound
+        # every point its hull holds.
+        self._extents = [
+            (max(abs(v[0]) for v in hull), max(abs(v[1]) for v in hull))
+            for hull in self._layers.layer_vertices
         ]
         self.predicate_evaluations = 0  # diagnostic for the O(log) claim
 
@@ -147,7 +203,7 @@ class HalfplaneIndex:
         for layer in range(self._layers.num_layers):
             runs = self._vertex_arc(layer, a, b)
             if runs is None:
-                if self._prunes(layer):
+                if self._prunes(layer, a, b):
                     break  # deeper layers are inside this hull → also above
                 continue
             vertex_spans = self._layers.layer_vertex_spans[layer]
@@ -177,16 +233,25 @@ class HalfplaneIndex:
         touched = 0
         for layer in range(self._layers.num_layers):
             touched += 1
-            if self._vertex_arc(layer, a, b) is None and self._prunes(layer):
+            if self._vertex_arc(layer, a, b) is None and self._prunes(layer, a, b):
                 break
         return touched
 
-    def _prunes(self, layer: int) -> bool:
+    def _prunes(self, layer: int, a: float, b: float) -> bool:
         """Whether an empty ``layer`` proves every deeper layer empty.
 
-        Only a layer with an interior can: the hull drops points whose
-        float orientation reads collinear, so a deeper point may sit a
-        rounding error outside a one- or two-vertex layer (a point or a
-        segment), on the other side of the query line.
+        Two conditions make it a proof. The layer's hull must hold every
+        deeper point in exact arithmetic (decided at build time): the
+        float hull can peel a point that lies a rounding error outside
+        it into a deeper layer, and a one- or two-vertex layer has no
+        interior. And every vertex must clear the line by more than
+        twice the rounding error of ``_below`` anywhere in the hull, so
+        no deeper point can read below it in floats.
         """
-        return len(self._layers.layer_vertices[layer]) >= 3
+        if not self._contains_deeper[layer]:
+            return False
+        x_extent, y_extent = self._extents[layer]
+        margin = _LINE_REL * (y_extent + abs(a) * x_extent + abs(b)) + _LINE_ABS
+        return all(
+            v[1] - a * v[0] - b > margin for v in self._layers.layer_vertices[layer]
+        )

@@ -20,6 +20,25 @@ Default-seed policy (the single place it is documented):
 * Batch kernels derive a NumPy generator from the ``random.Random``
   stream exactly once (``repro.core.kernels.batch_generator``), so the
   scalar and vectorized paths stay jointly determined by the same seed.
+  The derivation keys a ``Generator(PCG64DXSM)`` from 256 bits of the
+  stream (128 for the state, 128 for the odd increment) and caches it
+  on the ``Random`` under :data:`GENERATOR_ATTR`.
+* Keying reuses a generator object when the calling thread has an idle
+  one: each thread keeps a free list (:func:`free_generators`), and
+  assigning a state costs far less than seeding a new generator, whose
+  ``SeedSequence`` hashing dominated a small request. Only the engine
+  refills the list, and only from a ``Random`` it built for one call —
+  a request seed's stream, a spawn op's child, a shard task's stream,
+  the §4.1 split stream: :func:`release_stream` detaches that
+  ``Random``'s generator when the call returns or raises. A
+  caller-supplied ``Random`` and a sampler's instance stream keep their
+  generator for life, because their owners may interleave several of
+  them. The list is popped, never peeked, so a generator belongs to at
+  most one live stream, and it holds at most as many generators as the
+  thread ever had engine streams live at once (one per request under
+  the local placement, at most three sharded). A released ``Random``
+  that is drawn from again is keyed afresh from its next 256 bits: a
+  new stream, never a replay.
 * The engine layer (:mod:`repro.engine`) gives every request in a batch
   its own independent stream by *seed-spawning*: request ``i`` of an
   engine seeded with ``seed`` uses :func:`derive_seed`\\ ``(seed, i)``
@@ -38,7 +57,8 @@ No sampler may fall back to the global :mod:`random` module or construct
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Union
+import threading
+from typing import Any, List, Optional, Union
 
 RNGLike = Union[int, random.Random, None]
 
@@ -46,7 +66,38 @@ RNGLike = Union[int, random.Random, None]
 #: for the full policy.
 DEFAULT_SEED = 0x51_AB_5E_ED
 
+#: Attribute under which a ``random.Random`` caches its numpy generator.
+GENERATOR_ATTR = "_repro_batch_generator"
+
 _MASK64 = (1 << 64) - 1
+
+
+class _FreeGenerators(threading.local):
+    """The calling thread's idle numpy generators."""
+
+    def __init__(self) -> None:
+        self.generators: List[Any] = []
+
+
+_FREE = _FreeGenerators()
+
+
+def free_generators() -> List[Any]:
+    """The calling thread's free list of idle numpy generators."""
+    return _FREE.generators
+
+
+def release_stream(rng: random.Random) -> None:
+    """Return the numpy generator of an engine-built ``rng`` to this
+    thread's free list, detaching it from ``rng``.
+
+    Call it only on a ``Random`` built for one call, when that call
+    returns or raises. A no-op when ``rng`` never reached a batch draw
+    (always, on the scalar tier).
+    """
+    generator = rng.__dict__.pop(GENERATOR_ATTR, None)
+    if generator is not None:
+        _FREE.generators.append(generator)
 
 
 def ensure_rng(rng: RNGLike = None) -> random.Random:

@@ -13,6 +13,9 @@ Three concerns:
 """
 
 import random
+import sys
+import threading
+from collections import OrderedDict
 
 import pytest
 
@@ -148,6 +151,64 @@ class TestPlanStoreSharing:
         assert second.plan_cache.misses == 1 and second.plan_cache.hits == 0
         first.sample_span(5, 50, 3)
         assert first.plan_cache.hits == 1
+
+
+class _EvictOnTouch(OrderedDict):
+    """Entries whose LRU touch finds the key evicted, as when a ``put``
+    on another thread runs between a lookup's read and its touch."""
+
+    def move_to_end(self, key, last=True):
+        del self[key]
+        super().move_to_end(key, last)
+
+
+class TestLockFreeLookups:
+    def test_lookup_returns_a_plan_evicted_since_the_read(self):
+        store = PlanStore(4)
+        scope = PlanScope(store, "treewalk")
+        scope.put((0, 1), "plan")
+        store._entries = _EvictOnTouch(store._entries)
+        assert scope.get((0, 1)) == "plan"
+        assert scope.hits == 1 and len(store) == 0
+
+    def test_concurrent_lookups_and_puts_stay_exact(self):
+        store = PlanStore(8)
+        scopes = [PlanScope(store, "treewalk"), PlanScope(store, "chunked")]
+        lookups = [0] * 4
+        errors = []
+        start = threading.Barrier(4, timeout=30)
+
+        def worker(index):
+            rnd = random.Random(index)
+            try:
+                start.wait()
+                for _ in range(5_000):
+                    scope = scopes[rnd.randrange(2)]
+                    key = (0, rnd.randrange(12))
+                    plan = scope.get(key)
+                    lookups[index] += 1
+                    assert plan in (None, (scope.fingerprint, key))
+                    if plan is None:
+                        scope.put(key, (scope.fingerprint, key))
+                    assert len(store) <= 8
+            except BaseException as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(store) <= 8
+        assert sum(s.hits + s.misses for s in scopes) == sum(lookups) == 20_000
+        assert all(s.hits > 0 and s.misses > 0 for s in scopes)
 
 
 class TestShimCounterAgreement:

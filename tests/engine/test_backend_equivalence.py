@@ -22,9 +22,12 @@ carries a stateless derived seed. A shard-resident worker that keeps
 dying must fail only the requests touching its shard.
 """
 
+import random
+
 import pytest
 
 from repro.engine import QueryRequest, SamplingEngine, build, demo_build
+from repro.engine.placement import split_budget
 from repro.engine.demo import DEMO_N
 from repro.errors import WorkerCrashedError
 from repro.stats.tests import (
@@ -255,7 +258,20 @@ class TestComposedPlacementTier:
         assert all(r.ok for r in results)
         assert shared_bytes > 500_000  # the structure itself is ~MBs…
         counters = metrics_on.snapshot()["counters"]
-        assert counters["engine.placement_shards"] == 2 * 8 * 4
+        # One task per shard with a non-zero quota: each request's split
+        # runs on the base its stream draws first (§4.1).
+        active = view._active_shards(*view.span_of(50.0, float(n) - 50.0))
+        seeds = engine.seeds_for(requests())
+        tasks = sum(
+            sum(
+                quota > 0
+                for quota in split_budget(
+                    [row[3] for row in active], 24, random.Random(seed).getrandbits(64)
+                )
+            )
+            for seed in seeds
+        )
+        assert counters["engine.placement_shards"] == 2 * tasks
         # …but the tokens crossed once, at most a few KB each…
         assert 0 < token_bytes < 4 * 2_000
         messages = counters["engine.serialized_bytes"] - first

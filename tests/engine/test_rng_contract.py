@@ -133,9 +133,11 @@ def test_seed_and_generator_overrides_agree(spec):
     assert by_generator.execute(request, rng=random.Random(7)).values == expected
 
 
-#: Specs whose query methods take an int ``rng`` directly (normalized
-#: once per call, as the ``RNGLike`` annotation promises).
+#: Specs with non-spawn ops: an int ``rng`` passed to the op method
+#: directly seeds the stream a seeded request runs on (normalized once
+#: per call, as the ``RNGLike`` annotation promises).
 INT_SEED_SPECS = (
+    "alias",
     "coverage",
     "coverage.halfplane",
     "coverage.kdtree",
@@ -146,7 +148,49 @@ INT_SEED_SPECS = (
     "range.lemma2",
     "range.naive",
     "range.treewalk",
+    "tree.flat",
+    "tree.topdown",
 )
+
+
+def _outcome(call):
+    """A call's value, or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("s", [4, BULK_S])
+def test_every_op_takes_an_int_rng(spec, s):
+    # Normalized once at each op method's entry, never per draw or per
+    # round: an int seeds exactly the stream random.Random(int) gives.
+    first, template = demo_build(spec)
+    for op in sorted(first.engine_ops):
+        outcomes = []
+        for rng in (7, random.Random(7)):
+            sampler, _ = demo_build(spec)
+            engine_op = sampler.engine_ops[op]
+            args = (*template.args, s) if engine_op.takes_s else template.args
+            method = getattr(sampler, engine_op.method)
+            outcomes.append(_outcome(lambda: method(*args, rng=rng)))
+        assert outcomes[0] == outcomes[1], op
+
+
+@pytest.mark.parametrize("s", [4, BULK_S])
+def test_uniform_flat_tree_takes_an_int_rng(s):
+    # Uniform leaf weights skip the range sampler the demo tree's
+    # weights route through, so sample_many draws positions itself.
+    from repro.core.tree_sampling import Tree
+
+    tree = Tree.from_nested([[(f"leaf{i}", 1.0) for i in range(4)]] * 2)
+    results = []
+    for rng in (7, random.Random(7)):
+        sampler = build("tree.flat", tree=tree, rng=1)
+        assert sampler._uniform
+        results.append(sampler.sample_many(tree.root, s, rng=rng))
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("spec", INT_SEED_SPECS)
@@ -156,8 +200,9 @@ def test_int_rng_matches_seeded_request(spec, s):
     engine = SamplingEngine(backend="serial", errors="raise")
     try:
         for op, method in (
-            ("sample", sampler.sample),
-            ("sample_indices", sampler.sample_indices),
+            (op, getattr(sampler, sampler.engine_ops[op].method))
+            for op in ("sample", "sample_indices")
+            if op in sampler.engine_ops
         ):
             request = QueryRequest(op, template.args, s, seed=7)
             expected = engine.run(sampler, [request])[0].values

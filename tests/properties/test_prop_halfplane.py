@@ -49,6 +49,23 @@ def test_layers_partition(points):
 # two-vertex first layer that lies above the line: that empty layer
 # must not end the walk.
 @example(points=[(0.0, 0.0), (0.0, 2.8378579152865617e-111), (-1.0, 1.0)], a=0.0, b=0.0)
+# The first layer is the triangle (0, 5.4e-147), (8.3e-226, 1e-300),
+# (0, 1), entirely above the line. The float hull peeled (2.97e-297, 0)
+# into the second layer, although in exact arithmetic it lies outside
+# that triangle, on the line: the triangle must not end the walk.
+@example(
+    points=[
+        (0.0, 0.0),
+        (0.0, 1.0),
+        (0.0, 2.0),
+        (0.0, 5.422266224140729e-147),
+        (1.0, 0.0),
+        (8.264875179402532e-226, 1e-300),
+        (2.9734739692429527e-297, 0.0),
+    ],
+    a=0.0,
+    b=0.0,
+)
 def test_halfplane_cover_matches_brute_force(points, a, b):
     index = HalfplaneIndex(points)
     expected = sorted(p for p in points if p[1] - a * p[0] - b <= 0)
