@@ -14,9 +14,8 @@ quantiles of the ``engine.request_us`` histogram next to the exact
 ones, cross-checking :meth:`repro.obs.registry.Histogram.quantile`
 against ground truth on live data.
 
-Named with the ``bench_`` prefix to sit beside the pytest-benchmark
-suite, but it is a standalone script (no ``bench_*`` functions, so
-pytest collects nothing from it). Run::
+A standalone script (no ``bench_*`` functions, so pytest collects
+nothing from it). Run::
 
     python benchmarks/bench_obs_pipeline.py --out BENCH_8.json [--quick]
 

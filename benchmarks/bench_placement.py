@@ -9,9 +9,8 @@ is one diffable JSON artifact per CI run. The script also asserts the
 refactor's correctness claim inline: all three executions must return
 byte-identical batches before any timing is reported.
 
-Named with the ``bench_`` prefix to sit beside the pytest-benchmark
-suite, but it is a standalone script (no ``bench_*`` functions, so
-pytest collects nothing from it). Run::
+A standalone script (no ``bench_*`` functions, so pytest collects
+nothing from it). Run::
 
     python benchmarks/bench_placement.py --out BENCH_9.json [--quick]
 

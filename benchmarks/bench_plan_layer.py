@@ -17,9 +17,8 @@ JSON artifact per CI run:
   stays at 1 while ``engine.plan_reuse`` absorbs the rest, and the
   per-request cover computation count collapses to 1/requests.
 
-Named with the ``bench_`` prefix to sit beside the pytest-benchmark
-suite, but it is a standalone script (no ``bench_*`` functions, so
-pytest collects nothing from it). Run::
+A standalone script (no ``bench_*`` functions, so pytest collects
+nothing from it). Run::
 
     python benchmarks/bench_plan_layer.py --out BENCH_10.json [--quick] [--gate]
 

@@ -143,33 +143,21 @@ def _engine_run(
     workers: int | None,
     repeat: int = 1,
     warmup: int = 0,
-    jit: bool | None = None,
     shm: bool = False,
     placement: str | None = None,
     explain: bool = False,
 ) -> int:
     from time import perf_counter
 
-    from repro.core import kernels
     from repro.engine import QueryRequest, SamplingEngine, demo_build
 
-    if repeat < 1:
-        print("error: --repeat must be >= 1", file=sys.stderr)
-        return 2
-    if warmup < 0:
-        print("error: --warmup must be >= 0", file=sys.stderr)
-        return 2
-    if jit is False:
-        kernels.HAVE_JIT = False
-    elif jit is True:
-        if kernels._HAVE_NUMBA:
-            kernels.HAVE_JIT = True
-        else:
-            print(
-                "warning: --jit requested but numba is not installed; "
-                "continuing on the numpy/scalar tiers",
-                file=sys.stderr,
-            )
+    for flag, value, least in (
+        ("--n", n, 1), ("--requests", requests, 1),
+        ("--repeat", repeat, 1), ("--warmup", warmup, 0),
+    ):
+        if value < least:
+            print(f"error: {flag} must be >= {least}", file=sys.stderr)
+            return 2
 
     sampler, template = demo_build(spec, n=n)
     batch = [
@@ -223,9 +211,9 @@ def _engine_run(
             return 2
         else:
             run_once = lambda: engine.run(sampler, batch)  # noqa: E731
-        # Warmup batches absorb one-time costs — worker residency builds,
-        # shm attaches, and (on the jit tier) numba compilation — so the
-        # timed repeats measure steady-state throughput.
+        # Warmup batches absorb one-time costs — worker residency builds
+        # and shm attaches — so the timed repeats measure steady-state
+        # throughput.
         for _ in range(warmup):
             run_once()
         wall_times = []
@@ -435,14 +423,8 @@ def main(argv=None) -> int:
     )
     run_parser.add_argument(
         "--warmup", type=int, default=0,
-        help="untimed batch executions first — excludes numba compilation, "
-             "worker residency builds, and shm attaches from the timings "
-             "(default: 0)",
-    )
-    run_parser.add_argument(
-        "--jit", action=argparse.BooleanOptionalAction, default=None,
-        help="force the compiled kernel tier on (--jit) or off (--no-jit); "
-             "default: auto (on when numba is installed)",
+        help="untimed batch executions first — excludes worker residency "
+             "builds and shm attaches from the timings (default: 0)",
     )
     run_parser.add_argument(
         "--shm", action="store_true",
@@ -491,7 +473,7 @@ def main(argv=None) -> int:
         return _engine_run(
             args.spec, args.requests, args.s, args.backend, args.seed, args.n,
             args.shards, args.workers, repeat=args.repeat, warmup=args.warmup,
-            jit=args.jit, shm=args.shm, placement=args.placement,
+            shm=args.shm, placement=args.placement,
             explain=args.explain,
         )
     if args.command == "obs":

@@ -54,29 +54,9 @@ except ImportError:  # pragma: no cover
 if env_flag("REPRO_DISABLE_NUMPY"):  # pragma: no cover
     HAVE_NUMPY = False
 
-try:  # pragma: no cover - exercised both ways across environments
-    from repro.core import kernels_jit
-
-    _HAVE_NUMBA = HAVE_NUMPY and kernels_jit.HAVE_NUMBA
-except ImportError:  # pragma: no cover - kernels_jit hard-imports numpy
-    kernels_jit = None  # type: ignore[assignment]
-    _HAVE_NUMBA = False
-
-#: Whether the compiled (numba) tier is selected by the dispatch ladder.
-#: Requires numpy (the kernels operate on the same arrays), an importable
-#: numba, and the ``REPRO_DISABLE_JIT`` kill switch unset — the same
-#: pattern as :data:`HAVE_NUMPY` / ``REPRO_DISABLE_NUMPY`` one rung down.
-HAVE_JIT = _HAVE_NUMBA and not env_flag("REPRO_DISABLE_JIT")
-
 #: Minimum batch size for which the vectorized path is dispatched. Below
 #: this, numpy call overhead can exceed the scalar loop's cost.
 BATCH_MIN_SIZE = 16
-
-#: Minimum batch size for which the compiled tier is dispatched. The jit
-#: kernels re-derive their randomness per draw (counter-based SplitMix64),
-#: which costs a few mixes per element — a win that needs a batch big
-#: enough to amortise against numpy's tightly optimised small-batch RNG.
-JIT_MIN_SIZE = 256
 
 #: Minimum table size for which the vectorized *construction* path is
 #: dispatched. Small tables (multinomial parts, query covers) build faster
@@ -96,8 +76,8 @@ _BUILD_MAX_PASSES = 64
 _MASK128 = (1 << 128) - 1
 
 # Dispatch-ladder counters (repro.obs). "scalar" counts batch requests
-# that fell through to the pure-Python loops; "numpy"/"jit" count batched
-# kernel invocations served by each tier. Importing obs here is safe:
+# that fell through to the pure-Python loops; "numpy" counts batched
+# kernel invocations served by the numpy tier. Importing obs here is safe:
 # repro/__init__ initialises repro.obs before repro.core, and repro.obs's
 # only repro import is the dependency-free substrates.env.
 from repro import obs  # noqa: E402  (after the availability probes above)
@@ -107,9 +87,6 @@ _DISPATCH_SCALAR = obs.counter(
 )
 _DISPATCH_NUMPY = obs.counter(
     "kernels.dispatch.numpy", "Batched kernel calls served by the numpy tier"
-)
-_DISPATCH_JIT = obs.counter(
-    "kernels.dispatch.jit", "Batched kernel calls served by the compiled tier"
 )
 
 
@@ -124,16 +101,6 @@ def use_batch(s: int) -> bool:
     if obs.ENABLED:
         _DISPATCH_SCALAR.inc()
     return False
-
-
-def use_jit(s: int) -> bool:
-    """True when a batched kernel call of size ``s`` takes the jit tier.
-
-    The third rung of the dispatch ladder (scalar → numpy → jit):
-    :data:`HAVE_JIT` (numpy + numba importable, ``REPRO_DISABLE_JIT``
-    unset) and the :data:`JIT_MIN_SIZE` cutoff.
-    """
-    return HAVE_JIT and s >= JIT_MIN_SIZE
 
 
 def use_batch_build(n: int) -> bool:
@@ -190,24 +157,9 @@ def alias_draw_batch(prob: Any, alias: Any, size: int, gen: "np.random.Generator
 
     The exact batched analogue of :func:`repro.core.alias.alias_draw`:
     pick a uniform urn, flip its biased coin, follow the alias on tails.
-
-    When the compiled tier is available and ``size`` clears
-    :data:`JIT_MIN_SIZE`, the call is served by the fused
-    :func:`repro.core.kernels_jit.alias_draw` loop instead; the jit
-    stream is seeded from ``gen`` (one 64-bit draw), so output remains a
-    pure function of the sampler seed, but the tiers' streams differ —
-    equivalence across tiers is distributional (chi-square), not
-    draw-for-draw.
     """
     prob = np.asarray(prob, dtype=np.float64)
     alias = np.asarray(alias, dtype=np.intp)
-    if use_jit(size):
-        if obs.ENABLED:
-            _DISPATCH_JIT.inc()
-        seed = int(gen.integers(0, 2**64, dtype=np.uint64))
-        out = np.empty(size, dtype=np.intp)
-        kernels_jit.alias_draw(prob, alias, seed, out)
-        return out
     if obs.ENABLED:
         _DISPATCH_NUMPY.inc()
     n = len(prob)
@@ -299,29 +251,8 @@ def bst_topdown_batch(
     one step == one node visit below the start node). The count is
     maintained per level — O(height) adds — so passing it does not
     change the kernel's asymptotics; ``None`` skips it entirely.
-
-    Batches clearing :data:`JIT_MIN_SIZE` are served by the compiled
-    per-token walk (:func:`repro.core.kernels_jit.bst_topdown`) when the
-    jit tier is on — same visit accounting, counter-based stream seeded
-    from ``gen``.
     """
     nodes = np.array(start_nodes, dtype=np.intp, copy=True)
-    if use_jit(len(nodes)):
-        if obs.ENABLED:
-            _DISPATCH_JIT.inc()
-        seed = int(gen.integers(0, 2**64, dtype=np.uint64))
-        visits = kernels_jit.bst_topdown(
-            np.asarray(left, dtype=np.intp),
-            np.asarray(right, dtype=np.intp),
-            np.asarray(node_weight, dtype=np.float64),
-            nodes.copy(),
-            seed,
-            no_child,
-            nodes,
-        )
-        if visit_out is not None:
-            visit_out[0] += visits
-        return nodes
     if obs.ENABLED:
         _DISPATCH_NUMPY.inc()
     active = left[nodes] != no_child
@@ -347,9 +278,8 @@ def offset_concat_batch(
     index list or ``intp`` array) is shifted by ``offsets[r]`` (that
     shard's global base) and the shifted parts are concatenated in the
     order given, into one ``intp`` array. One flat add replaces the
-    per-element Python loop; merges clearing :data:`JIT_MIN_SIZE` run the
-    compiled (parallel) add instead. Both tiers are byte-identical —
-    the merge is pure arithmetic, no randomness is consumed.
+    per-element Python loop; the merge is pure arithmetic, no
+    randomness is consumed.
     """
     lengths = np.fromiter((len(part) for part in parts), dtype=np.intp, count=len(parts))
     total = int(lengths.sum())
@@ -357,12 +287,6 @@ def offset_concat_batch(
         return np.empty(0, dtype=np.intp)
     flat = np.concatenate([np.asarray(part, dtype=np.intp) for part in parts])
     offs = np.repeat(np.asarray(offsets, dtype=np.intp), lengths)
-    if use_jit(total):
-        if obs.ENABLED:
-            _DISPATCH_JIT.inc()
-        out = np.empty(total, dtype=np.intp)
-        kernels_jit.offset_merge(flat, offs, out)
-        return out
     if obs.ENABLED:
         _DISPATCH_NUMPY.inc()
     return flat + offs
@@ -417,28 +341,6 @@ def _vose_finish(
             small.append(overfull)
 
 
-def _segmented_cumsum(values: Any, segments: Any) -> Any:
-    """Per-segment inclusive prefix sums (``segments`` sorted ascending).
-
-    Requires non-negative ``values`` (true of deficits/excesses), which
-    makes the global cumsum non-decreasing so segment bases propagate with
-    a single ``maximum.accumulate``. On the jit tier the compiled
-    sequential loop (:func:`repro.core.kernels_jit.segmented_cumsum`)
-    resets exactly at each boundary — same sums up to cumsum rounding
-    drift, one pass, no temporaries.
-    """
-    if HAVE_JIT:
-        vals = np.ascontiguousarray(values, dtype=np.float64)
-        out = np.empty(len(vals))
-        kernels_jit.segmented_cumsum(vals, np.ascontiguousarray(segments), out)
-        return out
-    running = np.cumsum(values)
-    base = np.zeros(len(values))
-    starts = np.nonzero(segments[1:] != segments[:-1])[0] + 1
-    base[starts] = running[starts - 1]
-    return running - np.maximum.accumulate(base)
-
-
 def build_alias_tables_batch(weights: Sequence[float]) -> Tuple[Any, Any]:
     """Vectorized Vose construction: ``(prob, alias)`` as numpy arrays.
 
@@ -483,21 +385,14 @@ def build_alias_tables_batch(weights: Sequence[float]) -> Tuple[Any, Any]:
         active = large
         passes += 1
     if active.size:
-        if HAVE_JIT:
-            # Compiled finish: byte-identical stack discipline, no
-            # array->list->array round-trip for the tail.
-            idx, fprob, falias = kernels_jit.finish_tail(active, act)
-            prob[idx] = fprob
-            alias[idx] = falias
-        else:
-            fin_idx: List[int] = []
-            fin_prob: List[float] = []
-            fin_alias: List[int] = []
-            _vose_finish(active.tolist(), act.tolist(), fin_idx, fin_prob, fin_alias)
-            if fin_idx:
-                idx = np.asarray(fin_idx, dtype=np.intp)
-                prob[idx] = fin_prob
-                alias[idx] = fin_alias
+        fin_idx: List[int] = []
+        fin_prob: List[float] = []
+        fin_alias: List[int] = []
+        _vose_finish(active.tolist(), act.tolist(), fin_idx, fin_prob, fin_alias)
+        if fin_idx:
+            idx = np.asarray(fin_idx, dtype=np.intp)
+            prob[idx] = fin_prob
+            alias[idx] = fin_alias
     return prob, alias
 
 
@@ -640,29 +535,23 @@ def build_alias_tables_flat(values: Any, lengths: Any) -> Tuple[Any, Any]:
     if active.size:
         cuts = np.nonzero(act_seg[1:] != act_seg[:-1])[0] + 1
         bounds = [0, *cuts.tolist(), int(active.size)]
-        if HAVE_JIT:
-            for lo, hi in zip(bounds, bounds[1:]):
-                idx, fprob, falias = kernels_jit.finish_tail(active[lo:hi], act[lo:hi])
-                prob[idx] = fprob
-                alias[idx] = falias
-        else:
-            remaining = active.tolist()
-            masses = act.tolist()
-            fin_idx: List[int] = []
-            fin_prob: List[float] = []
-            fin_alias: List[int] = []
-            for lo, hi in zip(bounds, bounds[1:]):
-                _vose_finish(
-                    remaining[lo:hi],
-                    masses[lo:hi],
-                    fin_idx,
-                    fin_prob,
-                    fin_alias,
-                )
-            if fin_idx:
-                idx = np.asarray(fin_idx, dtype=np.intp)
-                prob[idx] = fin_prob
-                alias[idx] = fin_alias
+        remaining = active.tolist()
+        masses = act.tolist()
+        fin_idx: List[int] = []
+        fin_prob: List[float] = []
+        fin_alias: List[int] = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            _vose_finish(
+                remaining[lo:hi],
+                masses[lo:hi],
+                fin_idx,
+                fin_prob,
+                fin_alias,
+            )
+        if fin_idx:
+            idx = np.asarray(fin_idx, dtype=np.intp)
+            prob[idx] = fin_prob
+            alias[idx] = fin_alias
     alias -= seg_starts.astype(idx_t)[seg_ids]
     return prob, alias
 
@@ -709,12 +598,9 @@ def build_alias_tables_packed(
 
 __all__ = [
     "HAVE_NUMPY",
-    "HAVE_JIT",
     "BATCH_MIN_SIZE",
     "BUILD_MIN_SIZE",
-    "JIT_MIN_SIZE",
     "use_batch",
-    "use_jit",
     "use_batch_build",
     "batch_generator",
     "as_alias_arrays",

@@ -18,8 +18,8 @@ The §4.1 primitives (:func:`split_budget`, :func:`shard_seed`,
 functions, so the determinism contract — merged output is a pure
 function of ``(structure, request seed, K)`` regardless of worker count
 or scheduling — is enforced once, for every execution backend.
-``merge_indices`` dispatches through the ``scalar → numpy → jit``
-kernel ladder (:func:`repro.core.kernels.offset_concat_batch`).
+``merge_indices`` dispatches through the ``scalar → numpy`` kernel
+ladder (:func:`repro.core.kernels.offset_concat_batch`).
 """
 
 from __future__ import annotations
@@ -173,8 +173,8 @@ def merge_indices(
     shard's local indices are shifted by its global base offset.
     Dispatches through the kernel ladder — the scalar extend loop below
     the batch cutoff returns a list;
-    :func:`repro.core.kernels.offset_concat_batch` (numpy, or the
-    compiled tier for large merges) above it returns an ``intp`` array.
+    :func:`repro.core.kernels.offset_concat_batch` above it returns an
+    ``intp`` array.
     Partials may be lists or ``intp`` arrays; an array part is always at
     least the batch cutoff long, so the scalar loop only sees lists.
     """

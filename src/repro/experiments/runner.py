@@ -17,10 +17,7 @@ def kernel_tier() -> str:
     A scalar column is the same experiment run under
     ``REPRO_DISABLE_NUMPY=1``; this line says which tier a table came from.
     """
-    return (
-        f"jit={'on' if kernels.HAVE_JIT else 'off'} "
-        f"numpy={'on' if kernels.HAVE_NUMPY else 'off'}"
-    )
+    return f"numpy={'on' if kernels.HAVE_NUMPY else 'off'}"
 
 
 @dataclass

@@ -6,6 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from repro.experiments.runner import kernel_tier
+
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 
@@ -85,15 +89,18 @@ class TestEngineRun:
         assert "timing:   warmup=2 repeat=3" in completed.stdout
         assert "wall per batch" in completed.stdout
 
-    def test_invalid_repeat_rejected(self):
-        completed = run_cli("engine", "run", "alias", "--repeat", "0")
+    @pytest.mark.parametrize(
+        "flag, value", [("--repeat", "0"), ("--n", "0"), ("--requests", "0")]
+    )
+    def test_out_of_range_value_rejected(self, flag, value):
+        completed = run_cli("engine", "run", "alias", flag, value)
         assert completed.returncode == 2
-        assert "--repeat" in completed.stderr
+        assert f"error: {flag} must be >= 1" in completed.stderr
 
-    def test_no_jit_flag_reports_tier(self):
-        completed = run_cli("engine", "run", "alias", "--no-jit")
+    def test_run_reports_kernel_tier(self):
+        completed = run_cli("engine", "run", "alias")
         assert completed.returncode == 0, completed.stderr[-2000:]
-        assert "jit=off" in completed.stdout
+        assert f"kernels:  {kernel_tier()}" in completed.stdout
 
     def test_shm_flag_on_process_backend(self):
         completed = run_cli(

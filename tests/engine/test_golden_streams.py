@@ -21,12 +21,12 @@ Streams are tier-sensitive only above the batch cutoffs. Every capture
 leg but ``bulk`` keeps ``s`` below ``kernels.BATCH_MIN_SIZE`` so its
 goldens hold on the scalar fallback (``REPRO_DISABLE_NUMPY=1``) too —
 asserted by the CI matrix, which runs this module under both tiers. The
-``bulk`` leg deliberately sits between ``BATCH_MIN_SIZE`` and
-``JIT_MIN_SIZE``: it pins the numpy batch rung, and at demo size it
-reaches the query-time state changes the small legs miss (EM pool
-refills, set-union rebuilds). Legs whose draws differ by tier — the
-bulk leg, and the EM sampler's pool refill, which splits a full pool
-multinomially whatever the query's ``s`` — get a scalar-tier variant
+``bulk`` leg deliberately sits at or above ``BATCH_MIN_SIZE``: it pins
+the numpy batch rung, and at demo size it reaches the query-time state
+changes the small legs miss (EM pool refills, set-union rebuilds). Legs
+whose draws differ by tier — the bulk leg, and the EM sampler's pool
+refill, which splits a full pool multinomially whatever the query's
+``s`` — get a scalar-tier variant
 captured alongside, stored under a ``@scalar`` leg suffix; ``--regen``
 discovers such legs automatically by re-running the capture in a
 ``REPRO_DISABLE_NUMPY=1`` subprocess and diffing.
@@ -35,7 +35,7 @@ The ``large`` legs build the three planful range samplers at
 ``LARGE_N`` instead of the demo size, so Lemma 2's node tables and
 Theorem 3's chunk tables come from the vectorized (packed) builders and
 the pinned draws include Theorem 3's two-level draw over them. Their
-``s`` values also sit in ``[BATCH_MIN_SIZE, JIT_MIN_SIZE)``, and on the
+``s`` values also sit at or above ``BATCH_MIN_SIZE``, and on the
 demo span each request's cover split mixes per-node counts below and
 above ``BATCH_MIN_SIZE`` (scalar urn loops beside kernel draws in one
 request).
@@ -43,7 +43,7 @@ request).
 The ``wor`` legs pin the WoR op of each spec that has one: three
 ``BATCH_S`` requests on the demo span, plus (range specs) one request
 per ``WOR_LARGE_S`` at ``LARGE_N``, whose rounds of ``2·s`` draws sit
-in ``[BATCH_MIN_SIZE, JIT_MIN_SIZE)``. Every ``s`` stays at or below
+at or above ``BATCH_MIN_SIZE``. Every ``s`` stays at or below
 half its uniform-weight span, so the legs pin the duplicate-rejection
 routine, not the Floyd path. ``range.chunked`` also gets
 ``wor_sharded2``.
@@ -72,9 +72,9 @@ DIRECT_SEED = 7
 #: tier-independent.
 BATCH_S = 5
 DIRECT_S = 8
-#: Draws per request of the ``bulk`` leg: above kernels.BATCH_MIN_SIZE
-#: (16) and below kernels.JIT_MIN_SIZE (256), so it runs the numpy batch
-#: rung where numpy is present and is tier-independent of numba.
+#: Draws per request of the ``bulk`` leg: at or above
+#: kernels.BATCH_MIN_SIZE (16), so it runs the numpy batch rung where
+#: numpy is present.
 BULK_S = 64
 #: Requests per batched leg.
 BATCH_REQUESTS = 3
