@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Generic, List, Optional, Sequence, Tuple, TypeVar
+from array import array
+from operator import itemgetter
+from typing import Any, Dict, Generic, List, Optional, Sequence, Tuple, TypeVar
 
 from repro import obs
 from repro.core import kernels
@@ -117,17 +119,22 @@ class AliasSampler(EngineSampler, Generic[T]):
     >>> sampler = AliasSampler(["a", "b", "c"], [1.0, 2.0, 7.0], rng=42)
     >>> sampler.sample() in {"a", "b", "c"}
     True
+
+    The urn tables are one ``(prob, alias)`` buffer pair (``_tables``);
+    scalar draws read them through memoryviews and batch draws through
+    numpy views, which pickling drops and unpickling binds again.
     """
 
     __slots__ = (
         "_items",
         "_items_view",
+        "_tables",
         "_prob",
         "_alias",
+        "_np_tables",
         "_total_weight",
         "_weights",
         "_rng",
-        "_np_tables",
     )
 
     engine_ops = {
@@ -155,15 +162,28 @@ class AliasSampler(EngineSampler, Generic[T]):
         self._total_weight = float(sum(cleaned))
         self._rng = ensure_rng(rng)
         if kernels.use_batch_build(len(cleaned)):
-            np_prob, np_alias = kernels.build_alias_tables_batch(cleaned)
-            # Keep the list views for the scalar draw path and the numpy
-            # views for the batch path — built once, no lazy re-packing.
-            self._prob = np_prob.tolist()
-            self._alias = np_alias.tolist()
-            self._np_tables = (np_prob, np_alias)
+            self._adopt_tables(*kernels.build_alias_tables_batch(cleaned))
         else:
-            self._prob, self._alias = build_alias_tables(cleaned)
-            self._np_tables = None  # numpy copy of the urn tables, built lazily
+            prob, alias = build_alias_tables(cleaned)
+            self._adopt_tables(array("d", prob), array("q", alias))
+
+    def _adopt_tables(self, prob: Any, alias: Any) -> None:
+        """Install the urn buffers (a build or a shared-memory attach)."""
+        self._tables = (prob, alias)
+        (self._prob, self._alias), self._np_tables = kernels.buffer_views(self._tables)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {
+            name: getattr(self, name)
+            for name in self.__slots__
+            if name not in ("_prob", "_alias", "_np_tables")
+        }
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        tables = state.pop("_tables")
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._adopt_tables(*tables)
 
     # ------------------------------------------------------------------
     # sampling
@@ -190,7 +210,8 @@ class AliasSampler(EngineSampler, Generic[T]):
         rng = self._rng if rng is None else ensure_rng(rng)
         items = self._items
         if kernels.use_batch(s):
-            return [items[i] for i in self._batch_indices(s, rng)]
+            # A C-level gather; s >= BATCH_MIN_SIZE > 1, so it returns a tuple.
+            return list(itemgetter(*self._batch_indices(s, rng))(items))
         if obs.ENABLED:
             _DRAWS.add(s)
         prob, alias = self._prob, self._alias
@@ -210,8 +231,6 @@ class AliasSampler(EngineSampler, Generic[T]):
     def _batch_indices(self, s: int, rng: random.Random) -> List[int]:
         if obs.ENABLED:
             _DRAWS.add(s)
-        if self._np_tables is None:
-            self._np_tables = kernels.as_alias_arrays(self._prob, self._alias)
         prob, alias = self._np_tables
         gen = kernels.batch_generator(rng)
         return kernels.alias_draw_batch(prob, alias, s, gen).tolist()

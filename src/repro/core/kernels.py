@@ -147,6 +147,16 @@ def as_alias_arrays(prob: Sequence[float], alias: Sequence[int]) -> Tuple[Any, A
     )
 
 
+def buffer_views(buffers: Sequence[Any]) -> Tuple[Tuple[memoryview, ...], Any]:
+    """A memoryview of each flat buffer, which scalar loops index for Python
+    ``int``/``float`` values, and a zero-copy numpy view of each for batch
+    paths (``None`` without numpy). Every build and shm attach binds here."""
+    views = tuple(memoryview(buffer) for buffer in buffers)
+    if np is None:
+        return views, None
+    return views, tuple(np.asarray(buffer) for buffer in buffers)
+
+
 # ----------------------------------------------------------------------
 # core draw kernels
 # ----------------------------------------------------------------------
@@ -418,6 +428,9 @@ def build_alias_tables_flat(values: Any, lengths: Any) -> Tuple[Any, Any]:
     donor range, so float rounding at segment boundaries can never leak
     mass across segments. A segment with non-positive total mass
     degenerates to full urns (``prob = 1``, self-alias).
+
+    Temporaries are dropped as they die; a caller that keeps no
+    reference to ``values`` lets the unscaled weights go once scaled.
     """
     vals = np.ascontiguousarray(values, dtype=np.float64)
     sizes = np.ascontiguousarray(lengths, dtype=np.intp)
@@ -441,7 +454,10 @@ def build_alias_tables_flat(values: Any, lengths: Any) -> Tuple[Any, Any]:
         totals = np.bincount(seg_ids, weights=vals, minlength=segs)
     ok = totals > 0.0
     scale = np.where(ok, sizes / np.where(ok, totals, 1.0), 0.0)
-    scaled = vals * scale[seg_ids]
+    # The pass state starts as every urn: scaled masses and segment ids.
+    act = vals * scale[seg_ids]
+    act_seg = seg_ids
+    del values, vals, totals, ok, scale, seg_ids
 
     prob = np.ones(total)
     # Alias entries hold *global* flat positions while the builder runs
@@ -449,8 +465,6 @@ def build_alias_tables_flat(values: Any, lengths: Any) -> Tuple[Any, Any]:
     # rebases them to segment-local indices.
     alias = np.arange(total, dtype=idx_t)
     active = np.arange(total, dtype=idx_t)
-    act = scaled
-    act_seg = seg_ids
     passes = 0
     while active.size > _BUILD_SCALAR_CUTOFF and passes < _BUILD_MAX_PASSES:
         small_mask = act < 1.0
@@ -531,6 +545,11 @@ def build_alias_tables_flat(values: Any, lengths: Any) -> Tuple[Any, Any]:
         act = np.maximum(act_large, 0.0, out=act_large)
         active = large
         act_seg = large_segs
+        # The pass's masks, tapes and donor arrays die here, not when the
+        # next pass rebinds their names.
+        del small_mask, large_mask, small, large, small_segs, large_segs
+        del act_small, act_large, deficits, excesses, capacity, starts
+        del donors, bad, b, no_donor, donated
         passes += 1
     if active.size:
         cuts = np.nonzero(act_seg[1:] != act_seg[:-1])[0] + 1
@@ -552,7 +571,7 @@ def build_alias_tables_flat(values: Any, lengths: Any) -> Tuple[Any, Any]:
             idx = np.asarray(fin_idx, dtype=np.intp)
             prob[idx] = fin_prob
             alias[idx] = fin_alias
-    alias -= seg_starts.astype(idx_t)[seg_ids]
+    alias -= np.repeat(seg_starts.astype(idx_t), sizes)
     return prob, alias
 
 

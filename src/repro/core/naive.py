@@ -37,17 +37,12 @@ class NaiveRangeSampler(RangeSamplerBase):
         super().__init__(keys, weights)
         self._rng = ensure_rng(rng)
 
-    def sample_span(
-        self, lo: int, hi: int, s: int, rng: RNGLike = None
-    ) -> List[int]:
-        validate_sample_size(s)
-        if lo >= hi:
-            raise EmptyQueryError("empty index range")
+    def _draw_span(self, lo: int, hi: int, s: int, rng: RNGLike) -> List[int]:
         # "Report" step: materialise the full query result.
         reported_weights = list(self.weights[lo:hi])
         # "Sample" step: weighted draws from the reported set.
         prob, alias = build_alias_tables(reported_weights)
-        rng = self._rng if rng is None else ensure_rng(rng)
+        rng = self._rng if rng is None else rng
         return [lo + alias_draw(prob, alias, rng) for _ in range(s)]
 
     def report(self, x: float, y: float) -> List[float]:

@@ -21,12 +21,13 @@ all previous outputs because each draw consumes fresh randomness.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from typing import Any, ClassVar, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core import kernels
-from repro.core.alias import AliasTables, alias_draw, build_alias_tables
+from repro.core.alias import alias_draw, build_alias_tables
 from repro.core.planner import QueryPlan, plan_scope
 from repro.core.schemes import (
     PreparedSplit,
@@ -187,10 +188,10 @@ class RangeSamplerBase(RangeQueryMixin):
         return self._draw_span(lo, hi, s, rng)
 
     def _draw_span(self, lo: int, hi: int, s: int, rng: RNGLike):
-        """:meth:`sample_span`, free to return an ``intp`` index array
-        instead of a list (subclass hook; the keys are then gathered in
-        one numpy step)."""
-        return self.sample_span(lo, hi, s, rng=rng)
+        """The draw behind :meth:`sample_span` for a checked span, free to
+        return an ``intp`` index array (subclass hook; the key-span path
+        calls it directly, since a bisected span is always in range)."""
+        return self.execute_plan(self.plan_span(lo, hi), s, rng=rng)
 
     def _key_view(self):
         """``self.keys`` as a numpy array, or ``None`` when its
@@ -223,13 +224,21 @@ class RangeSamplerBase(RangeQueryMixin):
         (Proposition 1), where the range is known without key search.
         For planful samplers this is the validating compose of
         :meth:`plan_span` and :meth:`execute_plan`.
+
+        Raises :class:`ValueError` when ``[lo, hi)`` reaches outside
+        ``[0, n)`` (before any plan is built), and
+        :class:`EmptyQueryError` when it is empty.
         """
         validate_sample_size(s)
+        n = len(self)
+        if lo < 0 or hi > n:
+            raise ValueError(f"index span [{lo}, {hi}) lies outside [0, {n})")
         if lo >= hi:
             raise EmptyQueryError("empty index range")
         if rng is not None:
             rng = ensure_rng(rng)
-        return self.execute_plan(self.plan_span(lo, hi), s, rng=rng)
+        indices = self._draw_span(lo, hi, s, rng)
+        return indices if isinstance(indices, list) else indices.tolist()
 
     # -- plan → execute split (planful subclasses) ---------------------
 
@@ -363,7 +372,6 @@ class TreeWalkRangeSampler(RangeSamplerBase):
         super().__init__(keys, weights)
         self._tree = StaticBST(self.keys, self.weights)
         self._rng = ensure_rng(rng)
-        self._np_tree = None  # numpy copy of the BST arrays, built lazily
         self.plan_cache = plan_scope(self.plan_kind, plan_cache_size)
 
     def _build_plan(self, lo: int, hi: int, hint: Any = None) -> QueryPlan:
@@ -399,9 +407,9 @@ class TreeWalkRangeSampler(RangeSamplerBase):
         cover, prob, alias, np_slot = plan.payload
         if kernels.use_batch(s):
             return self._sample_span_batch(cover, prob, alias, np_slot, s, rng)
-        # Local bindings for the packed node lists: the walk is the hot
-        # loop of the O((1 + s) log n) query, and attribute/method dispatch
-        # per level would double its cost.
+        # Local bindings for the node buffers' memoryviews: the walk is the
+        # hot loop of the O((1 + s) log n) query, and attribute/method
+        # dispatch per level would double its cost.
         lefts, _, node_weights, span_lo = tree.packed_arrays()
         random = rng.random
         result: List[int] = []
@@ -445,15 +453,7 @@ class TreeWalkRangeSampler(RangeSamplerBase):
         """Batched §3.2 walk: draw all cover nodes, then descend all
         ``s`` tokens level-by-level in vectorized steps."""
         np = kernels.np
-        if self._np_tree is None:
-            left, right, node_weight, span_lo = self._tree.packed_arrays()
-            self._np_tree = (
-                np.asarray(left, dtype=np.intp),
-                np.asarray(right, dtype=np.intp),
-                np.asarray(node_weight, dtype=np.float64),
-                np.asarray(span_lo, dtype=np.intp),
-            )
-        left, right, node_weight, span_lo = self._np_tree
+        arrays = self._tree.numpy_arrays()
         gen = kernels.batch_generator(self._rng if rng is None else rng)
         if np_slot[0] is None:
             np_prob, np_alias = kernels.as_alias_arrays(prob, alias)
@@ -462,17 +462,33 @@ class TreeWalkRangeSampler(RangeSamplerBase):
         starts = cover_ids[kernels.alias_draw_batch(np_prob, np_alias, s, gen)]
         visit_out = [0] if obs.ENABLED else None
         leaves = kernels.bst_topdown_batch(
-            left, right, node_weight, starts, gen, visit_out=visit_out
+            arrays["left"], arrays["right"], arrays["node_weight"], starts, gen,
+            visit_out=visit_out,
         )
         if visit_out is not None:
             # Same convention as the scalar walk: one visit for each
             # token's cover node plus one per descent step.
             _TW_VISITS.add(s + visit_out[0])
-        return span_lo[leaves].tolist()
+        return arrays["lo"][leaves].tolist()
 
     def space_words(self) -> int:
         # 6 words per node (children, span, key, weight), 2n-1 nodes.
         return 6 * self._tree.node_count
+
+
+def _urn_values(leaf_weight: Any, bases: Any, sizes: Any, starts: Any) -> Any:
+    """The packed Lemma-2 builder's input: each internal node's weight
+    slice at its ``starts`` entry, back to back, then the leaves' shared
+    one-urn segment (``1.0``). The gather index dies with this call."""
+    np = kernels.np
+    total = int(sizes.sum())
+    idx_t = np.int32 if total < 2**31 else np.intp
+    flat_idx = np.repeat((bases - starts).astype(idx_t), sizes)
+    flat_idx += np.arange(total, dtype=idx_t)
+    values = np.empty(total + 1)
+    np.take(leaf_weight, flat_idx, out=values[:total])
+    values[total] = 1.0
+    return values
 
 
 class AliasAugmentedRangeSampler(RangeSamplerBase):
@@ -486,7 +502,8 @@ class AliasAugmentedRangeSampler(RangeSamplerBase):
     Every node's table lives in one flat ``(prob, alias)`` pair, at the
     node's entry of a per-node offset array. Internal nodes own their
     weight slice's table; all leaves share one trailing one-urn table
-    (``prob = 1``), so a node's table size is its span size.
+    (``prob = 1``), so a node's table size is its span size. The three
+    buffers are stored once, in ``_urns``, and read through memoryviews.
     """
 
     plan_kind = "lemma2"
@@ -523,71 +540,50 @@ class AliasAugmentedRangeSampler(RangeSamplerBase):
         """
         np = kernels.np
         arrays = self._tree.numpy_arrays()
-        span_lo, span_hi = arrays["lo"], arrays["hi"]
         internal = np.nonzero(arrays["left"] != NO_CHILD)[0]
-        sizes = span_hi[internal] - span_lo[internal]
+        bases = arrays["lo"][internal]
+        sizes = arrays["hi"][internal] - bases
         starts = np.cumsum(sizes) - sizes
-        total = int(sizes.sum())
-        offsets = np.full(self._tree.node_count, total, dtype=np.intp)
+        offsets = np.full(self._tree.node_count, int(sizes.sum()), dtype=np.intp)
         offsets[internal] = starts
-        idx_t = np.int32 if total < 2**31 else np.intp
-        flat_idx = np.repeat((span_lo[internal] - starts).astype(idx_t), sizes)
-        flat_idx += np.arange(total, dtype=idx_t)
-        values = np.empty(total + 1)
-        np.take(arrays["leaf_weight"], flat_idx, out=values[:total])
-        values[total] = 1.0
-        self._adopt_urns(
-            *kernels.build_alias_tables_flat(values, np.concatenate((sizes, [1]))),
-            offsets,
+        # The values go straight into the kernel, which then holds their
+        # only reference and drops them once they are scaled.
+        prob, alias = kernels.build_alias_tables_flat(
+            _urn_values(arrays["leaf_weight"], bases, sizes, starts),
+            np.concatenate((sizes, [1])),
         )
+        self._adopt_urns(prob, alias, offsets)
 
     def _build_urns_scalar(self) -> None:
         """The pure-Python builder: :func:`build_alias_tables` per
-        internal node, written into the same flat layout as lists (numpy
-        copies are made on the first numpy-tier plan, :meth:`_numpy_urns`)."""
+        internal node, written into the same flat layout as ``array``
+        buffers (``int32`` aliases below 2**31 urns, as the packed
+        builder makes them)."""
         tree = self._tree
         span_lo, span_hi = tree.span_arrays()
         internal = [node for node in tree.iter_nodes() if not tree.is_leaf(node)]
         total = sum(span_hi[node] - span_lo[node] for node in internal)
-        offsets = [total] * tree.node_count
-        prob: List[float] = []
-        alias: List[int] = []
+        offsets = array("q", [total]) * tree.node_count
+        prob = array("d")
+        alias = array("i" if total < 2**31 else "q")
         for node in internal:
             offsets[node] = len(prob)
             node_prob, node_alias = build_alias_tables(
                 self.weights[span_lo[node]:span_hi[node]]
             )
-            prob += node_prob
-            alias += node_alias
+            prob.extend(node_prob)
+            alias.extend(node_alias)
         prob.append(1.0)
         alias.append(0)
         self._adopt_urns(prob, alias, offsets)
 
-    def _adopt_urns(self, prob, alias, offsets) -> None:
-        """Install a flat urn layout: lists from the scalar builder, or
-        numpy arrays from the packed builder or a shared-memory attach
-        (which the batch pass then reads as they are)."""
+    def _adopt_urns(self, prob: Any, alias: Any, offsets: Any) -> None:
+        """Install the flat urn buffers: ``array`` buffers from the scalar
+        builder, numpy arrays from the packed builder or a shared-memory
+        attach. The urn loop reads the memoryviews bound here, the batch
+        pass the numpy views."""
         self._urns = (prob, alias, offsets)
-        self._np_urns = None
-        if not isinstance(prob, list):
-            arrays = self._tree.numpy_arrays()
-            self._np_urns = (prob, alias, offsets, arrays["lo"], arrays["hi"])
-
-    def _numpy_urns(self):
-        """``(prob, alias, offsets, span_lo, span_hi)`` as numpy arrays,
-        or ``None`` on the scalar tier. A scalar build's lists are
-        converted on first use; racing first calls build equal values,
-        and the memo is filled by one assignment, so no lock is needed."""
-        urns = self._np_urns
-        if urns is None and kernels.HAVE_NUMPY:
-            np = kernels.np
-            prob, alias, offsets = self._urns
-            span_lo, span_hi = self._tree.span_arrays()
-            urns = self._np_urns = (
-                np.asarray(prob, dtype=np.float64),
-                *(np.asarray(a, dtype=np.intp) for a in (alias, offsets, span_lo, span_hi)),
-            )
-        return urns
+        self._urn_views, self._np_urns = kernels.buffer_views(self._urns)
 
     def _build_plan(self, lo: int, hi: int, hint: Any = None) -> QueryPlan:
         """The Lemma-2 plan for ``[lo, hi)``.
@@ -605,19 +601,20 @@ class AliasAugmentedRangeSampler(RangeSamplerBase):
         """
         tree = self._tree
         cover = list(hint) if hint is not None else tree.canonical_nodes_for_span(lo, hi)
-        urns = self._numpy_urns()
-        if urns is None:
-            _, _, offsets = self._urns
+        if kernels.HAVE_NUMPY:
+            np = kernels.np
+            arrays = tree.numpy_arrays()
+            ids = np.array(cover, dtype=np.intp)
+            bases = arrays["lo"][ids]
+            table = np.array(
+                (self._np_urns[2][ids], arrays["hi"][ids] - bases, bases), dtype=np.intp
+            )
+            parts = table.T.tolist()
+        else:
+            _, _, offsets = self._urn_views
             span_lo, span_hi = tree.span_arrays()
             parts = [(offsets[u], span_hi[u] - span_lo[u], span_lo[u]) for u in cover]
             table = None
-        else:
-            np = kernels.np
-            _, _, offsets, span_lo, span_hi = urns
-            ids = np.array(cover, dtype=np.intp)
-            bases = span_lo[ids]
-            table = np.array((offsets[ids], span_hi[ids] - bases, bases), dtype=np.intp)
-            parts = table.T.tolist()
         cover_weights = tuple(tree.node_weight(u) for u in cover)
         return QueryPlan(
             self.plan_kind,
@@ -662,7 +659,7 @@ class AliasAugmentedRangeSampler(RangeSamplerBase):
                 _L2_PROBES.add(probes)
         if kernels.use_batch(s):
             np = kernels.np
-            prob, alias = self._np_urns[:2]
+            prob, alias, _ = self._np_urns
             offsets, sizes, bases = table
             which = np.repeat(np.arange(len(parts)), counts)
             picks = kernels.ragged_alias_draw(
@@ -671,7 +668,7 @@ class AliasAugmentedRangeSampler(RangeSamplerBase):
             picks += bases[which]
             return picks
         random = rng.random
-        prob, alias, _ = self._urns
+        prob, alias, _ = self._urn_views
         result: List[int] = []
         for (offset, size, base), count in zip(parts, counts):
             if count == 0:
@@ -685,7 +682,7 @@ class AliasAugmentedRangeSampler(RangeSamplerBase):
                 if urn == size:
                     urn = size - 1
                 slot = offset + urn
-                result.append(int(base + (urn if random() < prob[slot] else alias[slot])))
+                result.append(base + (urn if random() < prob[slot] else alias[slot]))
         return result
 
     def space_words(self) -> int:
@@ -734,33 +731,33 @@ class ChunkedRangeSampler(RangeSamplerBase):
 
         g = (n + chunk_size - 1) // chunk_size
         self._num_chunks = g
+        # All g chunk tables live in one padded flat (prob, alias) pair of
+        # g × chunk_size urns: chunk c's table is lengths[c] urns at
+        # starts[c] = c × chunk_size, and the padding (prob = 1,
+        # self-alias) is never drawn.
+        lengths = array("q", [chunk_size]) * g
+        lengths[-1] = n - (g - 1) * chunk_size
+        starts = array("q", range(0, g * chunk_size, chunk_size))
         if kernels.use_batch_build(n):
-            # All g chunk tables in one packed kernel call, with the numpy
-            # draw matrix built eagerly instead of lazily re-packed from
-            # scalar tables; per-chunk (prob, alias) views materialize on
-            # demand through _chunk_table for the scalar draw path.
             np = kernels.np
-            w = np.asarray(self.weights, dtype=np.float64)
             padded = np.zeros(g * chunk_size)
-            padded[:n] = w
+            padded[:n] = self.weights
             matrix = padded.reshape(g, chunk_size)
-            lengths = np.full(g, chunk_size, dtype=np.intp)
-            lengths[-1] = n - (g - 1) * chunk_size
             chunk_weights = matrix.sum(axis=1).tolist()
-            prob_mat, alias_mat = kernels.build_alias_tables_packed(matrix, lengths)
-            starts = np.arange(g, dtype=np.intp) * chunk_size
-            self._np_chunk_matrix = (prob_mat, alias_mat, lengths, starts)
-            self._chunk_tables: List[Optional[AliasTables]] = [None] * g
+            prob, alias = kernels.build_alias_tables_packed(matrix, lengths)
+            prob, alias = prob.ravel(), alias.ravel()
         else:
             chunk_weights = []
-            self._chunk_tables = []
+            prob = array("d", [1.0]) * (g * chunk_size)
+            alias = array("q", range(chunk_size)) * g
             for c in range(g):
                 c_lo, c_hi = self._chunk_bounds(c)
                 block = self.weights[c_lo:c_hi]
                 chunk_weights.append(sum(block))
-                self._chunk_tables.append(build_alias_tables(block))
-            # Packed numpy copy of the tables, built on first batched use.
-            self._np_chunk_matrix = None
+                block_prob, block_alias = build_alias_tables(block)
+                prob[c_lo:c_hi] = array("d", block_prob)
+                alias[c_lo:c_hi] = array("q", block_alias)
+        self._adopt_chunks(prob, alias, lengths, starts)
         self._chunk_weights = chunk_weights
         # Range-sum structure of §4.2 over chunk weights.
         self._chunk_sums = FenwickTree(chunk_weights)
@@ -810,41 +807,13 @@ class ChunkedRangeSampler(RangeSamplerBase):
         q3 = (hi, hi) if tail_fully else (self._chunk_bounds(last_chunk)[0], hi)
         return q1, (mid_lo, mid_hi), q3
 
-    def _ensure_chunk_matrix(self):
-        """The packed ``(prob_mat, alias_mat, lengths, starts)`` draw
-        matrices, re-packing the scalar per-chunk tables on first need.
-
-        The vectorized builder fills the matrices eagerly; a scalar build
-        defers them until either a batched draw or a shared-memory export
-        asks (both consume the same packed form, so the values are
-        bit-identical either way).
-        """
-        if self._np_chunk_matrix is None:
-            np = kernels.np
-            g = self._num_chunks
-            width = self._chunk_size
-            prob_mat = np.ones((g, width), dtype=np.float64)
-            alias_mat = np.zeros((g, width), dtype=np.intp)
-            lengths = np.empty(g, dtype=np.intp)
-            for chunk, (prob, alias) in enumerate(self._chunk_tables):
-                size = len(prob)
-                prob_mat[chunk, :size] = prob
-                alias_mat[chunk, :size] = alias
-                lengths[chunk] = size
-            starts = np.arange(g, dtype=np.intp) * width
-            self._np_chunk_matrix = (prob_mat, alias_mat, lengths, starts)
-        return self._np_chunk_matrix
-
-    def _chunk_table(self, chunk: int) -> AliasTables:
-        """Per-chunk ``(prob, alias)``, as views into the packed matrix
-        when the vectorized builder ran (materialized on demand)."""
-        tables = self._chunk_tables[chunk]
-        if tables is None:
-            prob_mat, alias_mat, lengths, _ = self._np_chunk_matrix
-            size = int(lengths[chunk])
-            tables = (prob_mat[chunk, :size], alias_mat[chunk, :size])
-            self._chunk_tables[chunk] = tables
-        return tables
+    def _adopt_chunks(self, prob: Any, alias: Any, lengths: Any, starts: Any) -> None:
+        """Install ``(prob, alias, lengths, starts)`` (a build or a
+        shared-memory attach): chunk ``c``'s table is ``lengths[c]`` urns
+        at ``starts[c]``, read by the scalar draw through memoryviews and
+        by the batch pass through numpy views."""
+        self._chunks = (prob, alias, lengths, starts)
+        self._chunk_views, self._np_chunks = kernels.buffer_views(self._chunks)
 
     def _partial_plan(self, lo: int, hi: int):
         """On-the-fly alias tables for a partial chunk, as a mutable
@@ -890,38 +859,45 @@ class ChunkedRangeSampler(RangeSamplerBase):
             per_chunk[chunk] = per_chunk.get(chunk, 0) + 1
         if obs.ENABLED:
             _CH_TOUCHES.add(len(per_chunk))
+        prob, alias, _, _ = self._chunk_views
+        width, n = self._chunk_size, len(self.keys)
+        random = rng.random
         result: List[int] = []
         for chunk, chunk_count in per_chunk.items():
-            c_lo, _ = self._chunk_bounds(chunk)
-            prob, alias = self._chunk_table(chunk)
-            result.extend(
-                int(c_lo + alias_draw(prob, alias, rng)) for _ in range(chunk_count)
-            )
+            c_lo = chunk * width
+            size = min(width, n - c_lo)
+            for _ in range(chunk_count):
+                # alias_draw over the chunk's slice of the flat pair,
+                # inlined: the same two random() calls per draw.
+                urn = int(random() * size)
+                if urn == size:
+                    urn = size - 1
+                slot = c_lo + urn
+                result.append(c_lo + (urn if random() < prob[slot] else alias[slot]))
         return result
 
     def _chunk_level_batch(self, chunk_draws, rng: RNGLike) -> List[int]:
         """Resolve a batch of chunk draws (an ``intp`` array or a list, as
         T_chunk drew them) to element indices in one pass.
 
-        All per-chunk alias tables are packed into ``g × chunk_size``
-        matrices (built lazily, O(n) space — the structure is already
+        All per-chunk alias tables sit in one padded flat pair of
+        ``g × chunk_size`` urns (O(n) space — the structure is already
         O(n)), so the intra-chunk draw for every token is one
-        :func:`kernels.ragged_alias_draw` pass over the flattened
-        matrices, however the tokens scatter across chunks.
+        :func:`kernels.ragged_alias_draw` pass over it, however the tokens
+        scatter across chunks.
         """
         np = kernels.np
-        prob_mat, alias_mat, lengths, starts = self._ensure_chunk_matrix()
+        prob, alias, lengths, starts = self._np_chunks
         chunks = np.asarray(chunk_draws, dtype=np.intp)
         if obs.ENABLED:
             # np.unique is an enabled-only cost: the distinct-chunk count
             # is exactly the "chunk touches" quantity §4.2's two-level
             # bound charges for.
             _CH_TOUCHES.add(int(np.unique(chunks).size))
-        # Row ``c`` of the matrices is the flat table at offset
+        # Chunk ``c``'s table is the flat table at offset
         # ``c * chunk_size = starts[c]``.
         picks = kernels.ragged_alias_draw(
-            prob_mat.ravel(), alias_mat.ravel(), starts, lengths, chunks,
-            kernels.batch_generator(rng),
+            prob, alias, starts, lengths, chunks, kernels.batch_generator(rng)
         )
         return (starts[chunks] + picks).tolist()
 
@@ -1004,8 +980,8 @@ class ChunkedRangeSampler(RangeSamplerBase):
 
     def space_words(self) -> int:
         # One prob + one alias word per element across all chunk tables
-        # (computed from n so lazily-materialized table views need not be
-        # forced), plus the Fenwick array and T_chunk.
+        # (computed from n, so the padding of the last chunk is not
+        # counted), plus the Fenwick array and T_chunk.
         chunk_table_words = 2 * len(self.keys)
         fenwick_words = self._num_chunks + 1
         return chunk_table_words + fenwick_words + self._t_chunk.space_words()

@@ -18,8 +18,9 @@ spent in a different order.
 :class:`ShardedSampler` is itself a
 :class:`~repro.core.range_sampler.RangeSamplerBase`, so it inherits
 ``sample`` / ``sample_indices`` / ``sample_without_replacement`` and the
-engine protocol for free; only ``sample_span`` (and ``_draw_span``, its
-array-returning twin) is reimplemented as *plan, fan out, merge*. The
+engine protocol for free, and ``sample_span``'s span checks; only the
+draw behind them (``_draw_span``) is reimplemented as *plan, fan out,
+merge*. The
 §4.1 arithmetic — the multinomial split on ``derive_seed(base, 0)``,
 the per-shard streams ``derive_seed(base, 1 + j)``, and the
 order-preserving merge — lives in
@@ -278,6 +279,8 @@ class ShardedSampler(RangeSamplerBase):
     def sample_span(self, lo: int, hi: int, s: int, rng: RNGLike = None) -> List[int]:
         """Split ``s`` multinomially over shards, fan out, merge.
 
+        The span is checked like every range sampler's
+        (:meth:`RangeSamplerBase.sample_span`), before any plan is built.
         The merge concatenates shard results in shard order — a
         deterministic order regardless of which worker finishes first.
         The multiset of returned indices follows exactly the unsharded
@@ -286,15 +289,15 @@ class ShardedSampler(RangeSamplerBase):
         that carries the executing request's trace ID (the engine sets
         the current-trace context before dispatching to this sampler),
         so a per-request timeline shows how many shards a query touched
-        and how long the split-draw-merge took.
+        and how long the split-draw-merge took. (Defined here so the
+        layered benchmark's tracer can wrap this class's entry point.)
         """
-        indices = self._draw_span(lo, hi, s, rng)
-        return indices if isinstance(indices, list) else indices.tolist()
+        return super().sample_span(lo, hi, s, rng=rng)
 
     def _draw_span(self, lo: int, hi: int, s: int, rng: RNGLike):
-        """:meth:`sample_span` without the list conversion: a merge above
-        the batch cutoff stays an ``intp`` array, so ``sample`` gathers
-        the keys in one numpy step."""
+        """:meth:`sample_span`'s fan-out without the checks or the list
+        conversion: a merge above the batch cutoff stays an ``intp``
+        array, so ``sample`` gathers the keys in one numpy step."""
         if not obs.ENABLED:
             return self._fan_out(lo, hi, s, rng)
         with obs.span("engine.shard_fanout", s=s) as fanout_span:

@@ -5,10 +5,14 @@ worker rebuilds the sampler once (``engine.worker_rebuilds``). For a big
 structure that residency cost is a full O(n log n) construction **per
 worker** — the arrays already sitting in the parent are rebuilt K times.
 
-This module exports a built structure's flat arrays — alias prob/alias
+This module exports a built structure's flat buffers — alias prob/alias
 tables, BST node arrays, prefix data — into named
 :class:`multiprocessing.shared_memory.SharedMemory` blocks, and rebuilds
-an equivalent sampler *around* those blocks on the worker side. The
+an equivalent sampler *around* those blocks on the worker side. Export
+copies each buffer as the structure stores it, and attach installs the
+segments through the adopt steps the builders end in (``_adopt``,
+``_adopt_urns``, ``_adopt_chunks``, ``_adopt_tables``), so an attached
+structure binds the same memoryviews as a built one. The
 ``("shm", manifest)`` token (see :mod:`repro.engine.worker`) carries only
 segment names, dtypes, shapes, and O(log n) metadata — a few hundred
 bytes regardless of ``n`` — so "rebuilding" in a worker becomes an mmap
@@ -36,7 +40,7 @@ Supported structures: :class:`~repro.core.alias.AliasSampler`,
 :class:`~repro.core.range_sampler.AliasAugmentedRangeSampler` (the
 Lemma-2 structure's flat urn tables, whichever builder made them),
 :class:`~repro.core.range_sampler.ChunkedRangeSampler` (Theorem 3 —
-chunk matrices, Fenwick array, and the nested ``T_chunk`` ride along
+padded flat chunk tables, Fenwick array, and the nested ``T_chunk`` ride along
 under a ``tchunk.`` prefix), and
 :class:`~repro.core.coverage.CoverageSampler` over a ``BSTIndex``
 (uniform/chunked backends; the nested chunked structure nests under a
@@ -233,18 +237,18 @@ def _numeric_array(values: Any, context: str) -> Any:
 # ----------------------------------------------------------------------
 
 
+# Segment names of each structure's buffers, in its adopt step's order.
+_ALIAS_BUFFERS = ("prob", "alias")
+_URN_BUFFERS = ("urn.prob", "urn.alias", "urn.offset")
+_CHUNK_BUFFERS = ("chunk.prob", "chunk.alias", "chunk.lengths", "chunk.starts")
+
+
 def _export_alias(sampler: Any) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    if sampler._np_tables is not None:
-        prob, alias = sampler._np_tables
-    else:
-        prob = np.asarray(sampler._prob, dtype=np.float64)
-        alias = np.asarray(sampler._alias, dtype=np.intp)
     arrays = {
         "items": _numeric_array(sampler._items, "AliasSampler items"),
         "weights": np.asarray(sampler._weights, dtype=np.float64),
-        "prob": prob,
-        "alias": np.asarray(alias, dtype=np.intp),
     }
+    arrays.update(zip(_ALIAS_BUFFERS, sampler._tables))
     meta = {"total_weight": sampler._total_weight}
     return arrays, meta
 
@@ -257,61 +261,35 @@ def _attach_alias(arrays: Dict[str, Any], meta: Dict[str, Any]) -> Any:
     sampler._items = items
     sampler._items_view = items
     sampler._weights = arrays["weights"]
-    sampler._prob = arrays["prob"]
-    sampler._alias = arrays["alias"]
-    sampler._np_tables = (arrays["prob"], arrays["alias"])
+    sampler._adopt_tables(*(arrays[name] for name in _ALIAS_BUFFERS))
     sampler._total_weight = meta["total_weight"]
     sampler._rng = ensure_rng(meta["rng_seed"])
     return sampler
 
 
-_TREE_ARRAYS = ("left", "right", "lo", "hi", "node_weight", "node_key", "leaf_node_of")
-
-
 def _export_tree(tree: Any) -> Dict[str, Any]:
-    """The StaticBST node arrays, keyed with a ``tree.`` prefix."""
-    return {
-        "tree.left": np.asarray(tree._left, dtype=np.intp),
-        "tree.right": np.asarray(tree._right, dtype=np.intp),
-        "tree.lo": np.asarray(tree._lo, dtype=np.intp),
-        "tree.hi": np.asarray(tree._hi, dtype=np.intp),
-        "tree.node_weight": np.asarray(tree._node_weight, dtype=np.float64),
-        "tree.node_key": _numeric_array(tree._node_key, "StaticBST node keys"),
-        "tree.leaf_node_of": np.asarray(tree._leaf_node_of, dtype=np.intp),
-    }
+    """The StaticBST buffers and node keys, keyed with a ``tree.`` prefix
+    (the owning sampler's ``weights`` attach to ``tree.leaf_weight``)."""
+    arrays = {f"tree.{name}": buffer for name, buffer in tree.numpy_arrays().items()}
+    arrays["tree.node_key"] = _numeric_array(tree._node_key, "StaticBST node keys")
+    return arrays
 
 
-def _attach_tree(arrays: Dict[str, Any], meta: Dict[str, Any], keys: Any, weights: Any) -> Any:
-    from repro.substrates.bst import StaticBST
+def _attach_tree(arrays: Dict[str, Any], meta: Dict[str, Any], keys: Any) -> Any:
+    from repro.substrates.bst import NODE_BUFFERS, StaticBST
 
     tree = object.__new__(StaticBST)
     tree.keys = keys
-    tree.weights = weights
-    tree._left = arrays["tree.left"]
-    tree._right = arrays["tree.right"]
-    tree._lo = arrays["tree.lo"]
-    tree._hi = arrays["tree.hi"]
-    tree._node_weight = arrays["tree.node_weight"]
-    tree._node_key = arrays["tree.node_key"]
-    tree._leaf_node_of = arrays["tree.leaf_node_of"]
-    tree._level_bounds = [tuple(b) for b in meta["level_bounds"]]
-    tree._np_arrays = {
-        "lo": arrays["tree.lo"],
-        "hi": arrays["tree.hi"],
-        "left": arrays["tree.left"],
-        "right": arrays["tree.right"],
-        "node_weight": arrays["tree.node_weight"],
-        "leaf_weight": weights,
-    }
-    tree.root = 0
+    tree._adopt(
+        arrays["tree.node_key"],
+        [tuple(b) for b in meta["level_bounds"]],
+        [arrays[f"tree.{name}"] for name in NODE_BUFFERS],
+    )
     return tree
 
 
 def _export_range_common(sampler: Any) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    arrays = {
-        "keys": _numeric_array(sampler.keys, f"{type(sampler).__name__} keys"),
-        "weights": np.asarray(sampler.weights, dtype=np.float64),
-    }
+    arrays = {"keys": _numeric_array(sampler.keys, f"{type(sampler).__name__} keys")}
     arrays.update(_export_tree(sampler._tree))
     meta = {
         "all_weights_equal": sampler._all_weights_equal,
@@ -325,15 +303,11 @@ def _attach_range_common(sampler: Any, arrays: Dict[str, Any], meta: Dict[str, A
     from repro.core.planner import plan_scope
 
     sampler.keys = _SharedSeq(arrays["keys"])
-    sampler.weights = arrays["weights"]
+    sampler.weights = arrays["tree.leaf_weight"]
     sampler._all_weights_equal = meta["all_weights_equal"]
-    sampler._tree = _attach_tree(arrays, meta, arrays["keys"], arrays["weights"])
+    sampler._tree = _attach_tree(arrays, meta, arrays["keys"])
     sampler._rng = ensure_rng(meta["rng_seed"])
     sampler.plan_cache = plan_scope(sampler.plan_kind, meta["plan_cache_size"])
-
-
-def _export_treewalk(sampler: Any) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    return _export_range_common(sampler)
 
 
 def _attach_treewalk(arrays: Dict[str, Any], meta: Dict[str, Any]) -> Any:
@@ -341,25 +315,12 @@ def _attach_treewalk(arrays: Dict[str, Any], meta: Dict[str, Any]) -> Any:
 
     sampler = object.__new__(TreeWalkRangeSampler)
     _attach_range_common(sampler, arrays, meta)
-    sampler._np_tree = (
-        arrays["tree.left"],
-        arrays["tree.right"],
-        arrays["tree.node_weight"],
-        arrays["tree.lo"],
-    )
     return sampler
 
 
 def _export_lemma2(sampler: Any) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     arrays, meta = _export_range_common(sampler)
-    prob, alias, offsets = sampler._urns
-    arrays.update(
-        {
-            "urn.prob": np.asarray(prob, dtype=np.float64),
-            "urn.alias": np.asarray(alias),
-            "urn.offset": np.asarray(offsets, dtype=np.intp),
-        }
-    )
+    arrays.update(zip(_URN_BUFFERS, sampler._urns))
     return arrays, meta
 
 
@@ -368,7 +329,7 @@ def _attach_lemma2(arrays: Dict[str, Any], meta: Dict[str, Any]) -> Any:
 
     sampler = object.__new__(AliasAugmentedRangeSampler)
     _attach_range_common(sampler, arrays, meta)
-    sampler._adopt_urns(arrays["urn.prob"], arrays["urn.alias"], arrays["urn.offset"])
+    sampler._adopt_urns(*(arrays[name] for name in _URN_BUFFERS))
     return sampler
 
 
@@ -393,17 +354,13 @@ def _sub_manifest(
 
 
 def _export_chunked(sampler: Any) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    prob_mat, alias_mat, lengths, starts = sampler._ensure_chunk_matrix()
     arrays = {
         "keys": _numeric_array(sampler.keys, "ChunkedRangeSampler keys"),
         "weights": np.asarray(sampler.weights, dtype=np.float64),
-        "chunk.prob": np.asarray(prob_mat, dtype=np.float64),
-        "chunk.alias": np.asarray(alias_mat, dtype=np.intp),
-        "chunk.lengths": np.asarray(lengths, dtype=np.intp),
-        "chunk.starts": np.asarray(starts, dtype=np.intp),
         "chunk.weights": np.asarray(sampler._chunk_weights, dtype=np.float64),
         "fenwick": np.asarray(sampler._chunk_sums._tree, dtype=np.float64),
     }
+    arrays.update(zip(_CHUNK_BUFFERS, sampler._chunks))
     t_arrays, t_meta = _export_lemma2(sampler._t_chunk)
     arrays.update({f"tchunk.{name}": arr for name, arr in t_arrays.items()})
     meta = {
@@ -428,13 +385,7 @@ def _attach_chunked(arrays: Dict[str, Any], meta: Dict[str, Any]) -> Any:
     sampler._rng = ensure_rng(meta["rng_seed"])
     sampler._chunk_size = meta["chunk_size"]
     sampler._num_chunks = meta["num_chunks"]
-    sampler._np_chunk_matrix = (
-        arrays["chunk.prob"],
-        arrays["chunk.alias"],
-        arrays["chunk.lengths"],
-        arrays["chunk.starts"],
-    )
-    sampler._chunk_tables = [None] * meta["num_chunks"]
+    sampler._adopt_chunks(*(arrays[name] for name in _CHUNK_BUFFERS))
     sampler._chunk_weights = _SharedSeq(arrays["chunk.weights"])
     # The Fenwick tree's query side only reads _tree[i]; a _SharedSeq
     # facade keeps prefix sums in native floats, matching the rebuilt
@@ -465,7 +416,6 @@ def _export_coverage(sampler: Any) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     tree = index._tree
     arrays = {
         "keys": _numeric_array(tree.keys, "BSTIndex keys"),
-        "weights": np.asarray(tree.weights, dtype=np.float64),
         "prefix": np.asarray(sampler._prefix, dtype=np.float64),
     }
     arrays.update(_export_tree(tree))
@@ -486,13 +436,11 @@ def _attach_coverage(arrays: Dict[str, Any], meta: Dict[str, Any]) -> Any:
     from repro.core.planner import plan_scope
 
     index = object.__new__(BSTIndex)
-    index._tree = _attach_tree(
-        arrays, meta, _SharedSeq(arrays["keys"]), arrays["weights"]
-    )
+    index._tree = _attach_tree(arrays, meta, _SharedSeq(arrays["keys"]))
     sampler = object.__new__(CoverageSampler)
     sampler._index = index
     sampler._rng = ensure_rng(meta["rng_seed"])
-    sampler._weights = _SharedSeq(arrays["weights"])
+    sampler._weights = _SharedSeq(arrays["tree.leaf_weight"])
     sampler._prefix = arrays["prefix"]
     sampler._backend = meta["backend"]
     sampler._span_tables = {}
@@ -509,7 +457,7 @@ def _attach_coverage(arrays: Dict[str, Any], meta: Dict[str, Any]) -> Any:
 
 _EXPORTERS = {
     "AliasSampler": ("alias", _export_alias),
-    "TreeWalkRangeSampler": ("treewalk", _export_treewalk),
+    "TreeWalkRangeSampler": ("treewalk", _export_range_common),
     "AliasAugmentedRangeSampler": ("lemma2", _export_lemma2),
     "ChunkedRangeSampler": ("chunked", _export_chunked),
     "CoverageSampler": ("coverage", _export_coverage),

@@ -17,12 +17,19 @@ from this decomposition.
 The implementation is array-based (structure-of-arrays): a node is an
 integer id indexing parallel arrays. This keeps Python overhead low enough
 for the benchmark sweeps while remaining a faithful pointer-style BST.
+
+Each array is stored once, as a flat buffer: a numpy array from the
+vectorized build, an ``array('q')``/``array('d')`` from the pure-Python
+one, or a shared-memory segment (:mod:`repro.engine.shm`). Scalar loops
+read it through a :class:`memoryview`, batch paths through a zero-copy
+numpy view.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core import kernels
@@ -30,6 +37,11 @@ from repro.errors import BuildError
 from repro.validation import validate_weights
 
 NO_CHILD = -1
+
+#: The flat buffers of a tree, in :meth:`StaticBST._adopt` order, and
+#: the memoryview attribute each is read through.
+NODE_BUFFERS = ("left", "right", "lo", "hi", "node_weight", "leaf_node_of", "leaf_weight")
+_VIEWS = ("_left", "_right", "_lo", "_hi", "_node_weight", "_leaf_node_of", "weights")
 
 _BST_COVERS = obs.counter("bst.covers", "Canonical-node decompositions computed")
 _BST_COVER_NODES = obs.counter(
@@ -47,6 +59,7 @@ class StaticBST:
     weights:
         Optional positive weight per key (defaults to 1.0 each). Node
         weights ``w(u)`` aggregate leaf weights bottom-up as in §3.2.
+        ``tree.weights`` is a memoryview over the one leaf-weight buffer.
     """
 
     __slots__ = (
@@ -60,7 +73,7 @@ class StaticBST:
         "_node_weight",
         "_leaf_node_of",
         "_level_bounds",
-        "_np_arrays",
+        "_arrays",
         "root",
     )
 
@@ -89,7 +102,7 @@ class StaticBST:
             raise BuildError(f"got {len(keys)} keys but {len(weights)} weights")
 
         self.keys: List[float] = list(keys)
-        self.weights: List[float] = validate_weights(weights, context="StaticBST")
+        leaf_weight = validate_weights(weights, context="StaticBST")
 
         # Iterative level-order (BFS) construction: node ids are assigned
         # breadth-first, so every level occupies one contiguous id range
@@ -99,23 +112,24 @@ class StaticBST:
         # sampler build all of one level's urn tables in a single packed
         # kernel call. The root is node 0, as before.
         n = len(keys)
-        self._np_arrays: Optional[dict] = None
         if kernels.use_batch_build(n):
-            self._build_level_order_vectorized(n, key_arr)
+            np = kernels.np
+            self._build_level_order_vectorized(
+                n, key_arr, np.asarray(leaf_weight, dtype=np.float64)
+            )
         else:
-            self._build_level_order(n)
-        self.root = 0
+            self._build_level_order(n, leaf_weight)
 
-    def _build_level_order(self, n: int) -> None:
-        """Pure-Python BFS build (also the numpy-free fallback)."""
+    def _build_level_order(self, n: int, weights: List[float]) -> None:
+        """Pure-Python BFS build (also the numpy-free fallback), written
+        into ``array`` buffers."""
         capacity = 2 * n - 1
-        left = [NO_CHILD] * capacity
-        right = [NO_CHILD] * capacity
+        left = array("q", [NO_CHILD]) * capacity
+        right = array("q", [NO_CHILD]) * capacity
         node_key = [0.0] * capacity
-        node_weight = [0.0] * capacity
-        leaf_node_of = [0] * n
+        node_weight = array("d", [0.0]) * capacity
+        leaf_node_of = array("q", [0]) * n
         keys = self.keys
-        weights = self.weights
 
         # `spans[u]` is node u's half-open leaf range; appending children in
         # (left, right) order while scanning nodes in id order IS the BFS.
@@ -140,27 +154,28 @@ class StaticBST:
                     node_key[node] = keys[mid]  # smallest key in right subtree
             lvl_start = lvl_end
 
-        # Children carry larger ids, so one reversed pass aggregates w(u).
+        # Children carry larger ids, so one reversed pass aggregates w(u);
+        # siblings get consecutive ids, so the right child is left + 1.
         for node in range(capacity - 1, -1, -1):
             lchild = left[node]
             if lchild != NO_CHILD:
-                node_weight[node] = node_weight[lchild] + node_weight[right[node]]
+                node_weight[node] = node_weight[lchild] + node_weight[lchild + 1]
 
-        self._left = left
-        self._right = right
-        self._lo = [s[0] for s in spans]
-        self._hi = [s[1] for s in spans]
-        self._node_key = node_key
-        self._node_weight = node_weight
-        self._leaf_node_of = leaf_node_of
-        self._level_bounds = level_bounds
+        lo = array("q", [span[0] for span in spans])
+        hi = array("q", [span[1] for span in spans])
+        self._adopt(
+            node_key,
+            level_bounds,
+            (left, right, lo, hi, node_weight, leaf_node_of, array("d", weights)),
+        )
 
-    def _build_level_order_vectorized(self, n: int, key_arr=None) -> None:
+    def _build_level_order_vectorized(self, n: int, key_arr: Any, w: Any) -> None:
         """Numpy BFS build: whole levels of spans/ids/weights per array op.
 
         Produces arrays identical to :meth:`_build_level_order` — the same
         BFS id assignment, span midpoints, and pairwise weight sums — just
-        computed one level at a time instead of one node at a time.
+        computed one level at a time instead of one node at a time. ``w``
+        is the validated leaf weights as a ``float64`` array.
         """
         np = kernels.np
         level_lo = np.array([0], dtype=np.intp)
@@ -203,9 +218,9 @@ class StaticBST:
         hi_all = np.concatenate(his)
         left_all = np.concatenate(lefts)
         right_all = np.concatenate(rights)
+        del los, his, lefts, rights  # the per-level pieces, now copied
         leaf_mask = left_all == NO_CHILD
 
-        w = np.asarray(self.weights, dtype=np.float64)
         node_weight = np.zeros(lo_all.size)
         node_weight[leaf_mask] = w[lo_all[leaf_mask]]
         # Bottom-up aggregation: one gather-add per level, leaves upward.
@@ -236,27 +251,34 @@ class StaticBST:
         leaf_ids = np.nonzero(leaf_mask)[0]
         leaf_node_of = np.empty(n, dtype=np.intp)
         leaf_node_of[lo_all[leaf_mask]] = leaf_ids
+        self._adopt(
+            node_key,
+            level_bounds,
+            (left_all, right_all, lo_all, hi_all, node_weight, leaf_node_of, w),
+        )
 
-        # Retained for vectorized consumers (the packed alias-table
-        # builder), sparing them list -> array round-trips of the same
-        # data; the list mirrors below stay authoritative for scalar use.
-        self._np_arrays = {
-            "lo": lo_all,
-            "hi": hi_all,
-            "left": left_all,
-            "right": right_all,
-            "node_weight": node_weight,
-            "leaf_weight": w,
-        }
-
-        self._left = left_all.tolist()
-        self._right = right_all.tolist()
-        self._lo = lo_all.tolist()
-        self._hi = hi_all.tolist()
+    def _adopt(
+        self, node_key: Any, level_bounds: List[Tuple[int, int]], buffers: Sequence[Any]
+    ) -> None:
+        """Install the buffers, given in :data:`NODE_BUFFERS` order. Both
+        builders and a shared-memory attach end here, so every tree binds
+        the same memoryviews and, when numpy imports, numpy views."""
         self._node_key = node_key
-        self._node_weight = node_weight.tolist()
-        self._leaf_node_of = leaf_node_of.tolist()
         self._level_bounds = level_bounds
+        views, arrays = kernels.buffer_views(buffers)
+        for name, view in zip(_VIEWS, views):
+            setattr(self, name, view)
+        self._arrays = None if arrays is None else dict(zip(NODE_BUFFERS, arrays))
+        self.root = 0
+
+    def __getstate__(self) -> Tuple[Any, ...]:
+        # Memoryviews do not pickle: ship the buffers they view.
+        buffers = [getattr(self, name).obj for name in _VIEWS]
+        return self.keys, self._node_key, self._level_bounds, buffers
+
+    def __setstate__(self, state: Tuple[Any, ...]) -> None:
+        self.keys, node_key, level_bounds, buffers = state
+        self._adopt(node_key, level_bounds, buffers)
 
     # ------------------------------------------------------------------
     # basic node accessors
@@ -283,34 +305,36 @@ class StaticBST:
         """Routing key: smallest leaf key in the right subtree (§3.2)."""
         return self._node_key[node]
 
-    def packed_arrays(self) -> Tuple[List[int], List[int], List[float], List[int]]:
-        """Raw ``(left, right, node_weight, span_lo)`` parallel lists.
+    def packed_arrays(self) -> Tuple[memoryview, memoryview, memoryview, memoryview]:
+        """``(left, right, node_weight, span_lo)`` as memoryviews.
 
         ``left[u] == NO_CHILD`` iff ``u`` is a leaf, and ``span_lo[u]`` is
-        the first sorted-key index below ``u``. Exposed for the vectorized
-        tree-walk kernel, which needs flat arrays rather than per-node
-        method calls; callers must not mutate the lists.
+        the first sorted-key index below ``u``. Exposed for the scalar
+        tree walk, which indexes flat buffers rather than calling per-node
+        methods; each view is bound once at build time and yields Python
+        ``int`` and ``float`` values. Callers must not write through them.
         """
         return self._left, self._right, self._node_weight, self._lo
 
-    def span_arrays(self) -> Tuple[List[int], List[int]]:
-        """Raw ``(span_lo, span_hi)`` parallel lists over node ids.
+    def span_arrays(self) -> Tuple[memoryview, memoryview]:
+        """``(span_lo, span_hi)`` as memoryviews over node ids.
 
-        The half-open leaf range of every node, exposed for vectorized
-        level-at-a-time consumers; callers must not mutate the lists.
+        The half-open leaf range of every node, bound once at build time;
+        callers must not write through them.
         """
         return self._lo, self._hi
 
-    def numpy_arrays(self) -> Optional[dict]:
-        """Numpy mirrors of the packed node arrays, or ``None``.
+    def numpy_arrays(self) -> Optional[Dict[str, Any]]:
+        """The node buffers as numpy arrays, or ``None`` without numpy.
 
-        Populated only by the vectorized build: keys ``lo``, ``hi``,
-        ``left``, ``right``, ``node_weight`` (per node id) and
-        ``leaf_weight`` (per sorted-key index). Vectorized consumers use
-        these to skip re-coercing the equivalent lists; callers must not
-        mutate the arrays.
+        Keys ``left``, ``right``, ``lo``, ``hi``, ``node_weight``,
+        ``leaf_node_of`` (per node id, ``leaf_node_of`` per key index)
+        and ``leaf_weight`` (per sorted-key index). These are the buffers
+        themselves: the vectorized build's arrays, or zero-copy views of
+        the pure-Python build's ``array`` buffers. Callers must not
+        mutate them.
         """
-        return self._np_arrays
+        return self._arrays
 
     def level_bounds(self) -> List[Tuple[int, int]]:
         """Per-level ``(start, end)`` node-id ranges, root level first.

@@ -1,10 +1,12 @@
 """Unit tests for the alias structure (paper §3.1, Theorem 1)."""
 
 import math
+import pickle
 import random
 
 import pytest
 
+from repro.core import kernels
 from repro.core.alias import AliasSampler, alias_draw, build_alias_tables
 from repro.errors import BuildError, InvalidWeightError
 from repro.stats.tests import chi_square_weighted_pvalue
@@ -131,3 +133,21 @@ class TestSampling:
         a = AliasSampler(list(range(100)), rng=1).sample_many(20)
         b = AliasSampler(list(range(100)), rng=2).sample_many(20)
         assert a != b
+
+
+class TestPickling:
+    @pytest.mark.parametrize("numpy_tier", [True, False])
+    def test_round_trip_gives_the_same_draws(self, numpy_tier, monkeypatch):
+        # The tables are flat buffers read through memoryviews, which do
+        # not pickle; the unpickled sampler binds them again.
+        if not numpy_tier:
+            monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
+        rnd = random.Random(4)
+        weights = [rnd.random() + 0.01 for _ in range(200)]
+        sampler = AliasSampler(list(range(200)), weights, rng=3)
+        clone = pickle.loads(pickle.dumps(sampler))
+        for s in (8, 400):  # the scalar loop and, on the numpy tier, the batch path
+            assert clone.sample_indices(s, rng=11) == sampler.sample_indices(s, rng=11)
+            assert clone.sample_many(s, rng=12) == sampler.sample_many(s, rng=12)
+        assert [clone.sample() for _ in range(20)] == [sampler.sample() for _ in range(20)]
+        assert clone.probability(7) == sampler.probability(7)

@@ -21,6 +21,7 @@ The batch sampling kernels have their own harness
 """
 
 import random
+from array import array
 
 import pytest
 
@@ -220,8 +221,10 @@ class TestStructureDispatchEquivalence:
             scalar_sampler, weights = self.build(True, scalar_patch)
         batch_sampler, _ = self.build(False, monkeypatch)
         assert kernels.use_batch_build(self.N)
-        assert isinstance(scalar_sampler._urns[0], list)
-        assert isinstance(batch_sampler._urns[0], np.ndarray)
+        # The pure-Python builder writes stdlib array buffers, the packed
+        # builder numpy arrays.
+        assert all(isinstance(part, array) for part in scalar_sampler._urns)
+        assert all(isinstance(part, np.ndarray) for part in batch_sampler._urns)
         tree = batch_sampler._tree
         for node in tree.iter_nodes():
             if tree.is_leaf(node):

@@ -57,6 +57,16 @@ class TestContracts:
         with pytest.raises(EmptyQueryError):
             sampler.sample(50.0, 10.0, 1)
 
+    @pytest.mark.parametrize("s", [4, 64])
+    @pytest.mark.parametrize("span", [(-5, 10), (94, 144), (105, 110), (-10, -2)])
+    def test_index_span_outside_the_keys_rejected(self, sampler_cls, span, s):
+        sampler = sampler_cls(make_keys(100), rng=1)
+        with pytest.raises(ValueError, match=r"outside \[0, 100\)") as info:
+            sampler.sample_span(*span, s, rng=7)
+        assert not isinstance(info.value, EmptyQueryError)
+        assert str(span[0]) in str(info.value) and str(span[1]) in str(info.value)
+        assert len(getattr(sampler, "plan_cache", ())) == 0  # raised before planning
+
     def test_zero_samples_rejected(self, sampler_cls):
         sampler = sampler_cls(make_keys(100), rng=1)
         with pytest.raises(ValueError):

@@ -79,8 +79,9 @@ def build_faulty(**params: Any) -> FaultySampler:
 class FaultyRangeSampler(RangeSamplerBase):
     """Range structure whose shard hard-dies over poisoned keys.
 
-    Keys below :data:`DIE_BELOW` are poisoned: ``sample_span`` over a
-    span that starts on a poisoned key calls :func:`die`. Under the
+    Keys below :data:`DIE_BELOW` are poisoned: a draw (``sample_span``,
+    through the ``_draw_span`` hook) over a span that starts on a
+    poisoned key calls :func:`die`. Under the
     composed ``sharded × process`` backend only the shard *owning* those
     keys has a dying resident worker, so the crash-isolation test can
     assert that requests touching that shard fail with
@@ -101,9 +102,7 @@ class FaultyRangeSampler(RangeSamplerBase):
         super().__init__(keys, weights)
         self._rng = ensure_rng(rng)
 
-    def sample_span(
-        self, lo: int, hi: int, s: int, rng: Any = None
-    ) -> List[int]:
+    def _draw_span(self, lo: int, hi: int, s: int, rng: Any) -> List[int]:
         if self.keys[lo] < self.DIE_BELOW:
             die()
         rng = self._rng if rng is None else rng

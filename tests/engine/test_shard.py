@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine import QueryRequest, SamplingEngine, build
 from repro.engine.shard import ShardedSampler, shard_bounds
+from repro.errors import EmptyQueryError
 
 N = 240
 KEYS = [float(i) for i in range(N)]
@@ -129,6 +130,16 @@ class TestEdgeCases:
         ).run(make_sampler(), bad)
         assert not result.ok
         assert isinstance(result.error, ValueError)
+
+    @pytest.mark.parametrize("span", [(-5, 10), (230, 250), (245, 250), (-10, -2)])
+    def test_index_span_outside_the_keys_rejected(self, span):
+        # Partial spans are not clamped and disjoint ones are not an
+        # empty query: the span itself is wrong, before any plan exists.
+        view = ShardedSampler.from_sampler(make_sampler(), 4)
+        with pytest.raises(ValueError, match=rf"outside \[0, {N}\)") as info:
+            view.sample_span(*span, 16, rng=7)
+        assert not isinstance(info.value, EmptyQueryError)
+        assert len(view.plan_cache) == 0
 
     def test_unshardable_sampler_raises_type_error(self):
         alias = build(

@@ -13,6 +13,7 @@ The contract under test (repro.engine.shm + SamplingEngine.share):
 """
 
 import pickle
+from array import array
 from multiprocessing.shared_memory import SharedMemory
 
 import numpy as np
@@ -50,35 +51,74 @@ def assert_unlinked(manifest):
             SharedMemory(name=name)
 
 
+def _coverage(keys, weights):
+    """Theorem 5 over a BST; ``weights=None`` takes the uniform backend."""
+    from repro.core.coverage import BSTIndex, CoverageSampler
+
+    return CoverageSampler(BSTIndex(keys, weights), rng=3)
+
+
+def _draw(sampler, label, op, keys, s):
+    """One ``op`` request of ``s`` draws on ``sampler`` (seeded stream)."""
+    if label == "alias":
+        method = sampler.sample_many if op == "sample" else sampler.sample_indices
+        return method(s, rng=ensure_rng(99))
+    lo, hi = keys[50], keys[-50]
+    if label == "coverage":
+        return getattr(sampler, op)((lo, hi), s, rng=ensure_rng(99))
+    return getattr(sampler, op)(lo, hi, s, rng=ensure_rng(99))
+
+
 class TestRoundTrip:
+    @pytest.mark.parametrize("s", [8, 400])
+    @pytest.mark.parametrize("op", ["sample", "sample_indices"])
     @pytest.mark.parametrize(
         "factory,label",
         [
             (lambda k, w: AliasSampler(list(range(len(k))), w, rng=3), "alias"),
             (lambda k, w: TreeWalkRangeSampler(k, w, rng=3), "treewalk"),
             (lambda k, w: AliasAugmentedRangeSampler(k, w, rng=3), "lemma2"),
+            (lambda k, w: ChunkedRangeSampler(k, w, rng=3), "chunked"),
+            (_coverage, "coverage"),
+            (lambda k, w: _coverage(k, None), "coverage"),
         ],
     )
-    def test_attached_draws_are_byte_identical(self, factory, label):
+    def test_attached_draws_are_byte_identical(self, factory, label, op, s):
+        # s = 8 runs the scalar loops, s = 400 the batch paths.
         keys, weights = make_keys_weights()
         original = factory(keys, weights)
         manifest, segments = shm.export_sampler(original)
         try:
             attached = shm.attach_sampler(manifest)
             assert type(attached) is type(original)
-            if label == "alias":
-                expected = original.sample_many(400, rng=ensure_rng(99))
-                got = attached.sample_many(400, rng=ensure_rng(99))
-            else:
-                lo, hi = keys[50], keys[-50]
-                expected = original.sample(lo, hi, 400, rng=ensure_rng(99))
-                got = attached.sample(lo, hi, 400, rng=ensure_rng(99))
+            expected = _draw(original, label, op, keys, s)
+            got = _draw(attached, label, op, keys, s)
             assert got == expected
             # Attached samplers must hand back native Python scalars, not
             # numpy ones — same types a rebuilt sampler would return.
-            assert {type(v) for v in got} == {type(v) for v in expected}
+            assert [type(v) for v in got] == [type(v) for v in expected]
         finally:
             shm.unlink_segments(segments)
+
+    @pytest.mark.parametrize("label", ["alias", "treewalk", "coverage"])
+    def test_process_engine_returns_python_ints(self, label):
+        # The engine path to the same contract: results from a worker's
+        # attached structure serialize as JSON.
+        import json
+
+        keys, weights = make_keys_weights(500)
+        if label == "alias":
+            sampler, args = AliasSampler(list(range(len(keys))), weights, rng=3), ()
+        elif label == "treewalk":
+            sampler, args = TreeWalkRangeSampler(keys, weights, rng=3), (keys[5], keys[-5])
+        else:
+            sampler, args = _coverage(keys, None), ((keys[5], keys[-5]),)
+        request = QueryRequest("sample_indices", args, 8, seed=11)
+        with SamplingEngine("process", max_workers=1) as engine:
+            (result,) = engine.run_token(engine.share(sampler), [request])
+        assert result.error is None
+        assert {type(v) for v in result.values} == {int}
+        json.dumps(result.values)
 
     def test_token_is_small_and_picklable(self):
         keys, weights = make_keys_weights()
@@ -99,14 +139,14 @@ class TestRoundTrip:
             shm.export_sampler(build_faulty())
 
     def test_scalar_built_lemma2_round_trips(self, monkeypatch):
-        # A scalar build writes the flat layout as lists; the exporter
-        # shares them as arrays, and the attached copy still draws
-        # byte-identically: s=8 through the urn loop, s=200 through the
-        # batch pass where numpy is on.
+        # A scalar build writes the flat layout as array buffers; the
+        # exporter shares them as they are, and the attached copy still
+        # draws byte-identically: s=8 through the urn loop, s=200 through
+        # the batch pass where numpy is on.
         monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
         keys, weights = make_keys_weights(200)
         scalar_form = AliasAugmentedRangeSampler(keys, weights, rng=3)
-        assert all(isinstance(part, list) for part in scalar_form._urns)
+        assert all(isinstance(part, array) for part in scalar_form._urns)
         monkeypatch.undo()
         manifest, segments = shm.export_sampler(scalar_form)
         try:

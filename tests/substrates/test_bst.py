@@ -1,5 +1,7 @@
 """Unit tests for the §3.2 BST, including the Figure-1 canonical nodes."""
 
+import pickle
+
 import pytest
 
 from repro.errors import BuildError, InvalidWeightError
@@ -145,3 +147,24 @@ class TestQueries:
             leaf = tree.leaf_node(index)
             assert tree.is_leaf(leaf)
             assert tree.leaf_span(leaf) == (index, index + 1)
+
+
+class TestStorage:
+    # n = 40 takes the pure-Python builder, n = 400 the vectorized one
+    # where numpy is on.
+    @pytest.mark.parametrize("n", [40, 400])
+    def test_views_yield_python_scalars(self, n):
+        tree = StaticBST([float(i) for i in range(n)], [1.0 + i % 9 for i in range(n)])
+        left, right, node_weight, span_lo = tree.packed_arrays()
+        assert {type(left[0]), type(right[0]), type(span_lo[0])} == {int}
+        assert type(node_weight[0]) is float and type(tree.weights[0]) is float
+        assert list(tree.weights) == [1.0 + i % 9 for i in range(n)]
+
+    @pytest.mark.parametrize("n", [40, 400])
+    def test_pickle_round_trip(self, n):
+        tree = StaticBST([float(i) for i in range(n)], [1.0 + i % 9 for i in range(n)])
+        clone = pickle.loads(pickle.dumps(tree))
+        assert clone.canonical_nodes(3.0, n - 5.0) == tree.canonical_nodes(3.0, n - 5.0)
+        assert clone.range_weight(3.0, n - 5.0) == tree.range_weight(3.0, n - 5.0)
+        assert list(clone.weights) == list(tree.weights)
+        assert clone.level_bounds() == tree.level_bounds()
