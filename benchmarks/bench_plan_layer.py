@@ -9,7 +9,8 @@ JSON artifact per CI run:
   measured machine-independently: a warm ``sample_span`` is a plan-store
   fetch plus ``execute_plan``, so the fetch overhead is
   ``(warm_sample - execute_only) / warm_sample`` against an
-  execute-only baseline holding a prefetched plan. ``--gate`` fails the
+  execute-only baseline holding a prefetched plan (its draw made a
+  list the way ``sample_span`` makes one). ``--gate`` fails the
   run when any kind's overhead exceeds ``GATE_OVERHEAD`` (5%) — i.e.
   the plan layer must be invisible on the warm draw path.
 * **Cover computations per request vs shard count** — for K ∈ {2, 4, 8}
@@ -127,6 +128,14 @@ def bench_warm_path(sampler_cls, keys, weights, span, s, iters, rounds=3):
     lo, hi = span
     sampler.sample_span(lo, hi, s)  # prime the plan store
     plan = sampler.plan_span(lo, hi)
+
+    def execute_only_listed():
+        # ``execute_plan`` keeps a batch draw's intp array; turn it into
+        # a list exactly as ``sample_span`` does, so the two legs differ
+        # only by validation and the plan fetch.
+        indices = sampler.execute_plan(plan, s)
+        return indices if isinstance(indices, list) else indices.tolist()
+
     best = None
     for _ in range(rounds):
         warm = []
@@ -134,7 +143,7 @@ def bench_warm_path(sampler_cls, keys, weights, span, s, iters, rounds=3):
         for index in range(iters):
             legs = [
                 (warm, lambda: sampler.sample_span(lo, hi, s)),
-                (execute_only, lambda: sampler.execute_plan(plan, s)),
+                (execute_only, execute_only_listed),
             ]
             if index % 2:
                 legs.reverse()

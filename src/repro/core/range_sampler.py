@@ -89,10 +89,11 @@ class RangeSamplerBase(RangeQueryMixin):
     Planful subclasses (``plan_kind`` set) additionally implement the
     plan → execute split: :meth:`plan_span` returns a deterministic
     :class:`~repro.core.planner.QueryPlan` (cached through the shared
-    plan store; consumes **no** randomness), :meth:`execute_plan` spends
-    the randomness, and :meth:`sample_span` is the thin compose of the
-    two. The split is what lets the engine plan once per request and
-    ship the plan to shard executions.
+    plan store; consumes **no** randomness), :meth:`execute_plan` (the
+    subclass's one draw) spends the randomness, and :meth:`_draw_span`
+    composes the two. The split lets the engine plan once per request
+    and ship the plan to shard executions. Lists are made only by the
+    public methods.
     """
 
     #: Plan-kind tag for planful subclasses; ``None`` marks a sampler
@@ -188,9 +189,9 @@ class RangeSamplerBase(RangeQueryMixin):
         return self._draw_span(lo, hi, s, rng)
 
     def _draw_span(self, lo: int, hi: int, s: int, rng: RNGLike):
-        """The draw behind :meth:`sample_span` for a checked span, free to
-        return an ``intp`` index array (subclass hook; the key-span path
-        calls it directly, since a bisected span is always in range)."""
+        """The draw behind :meth:`sample_span` for a checked span, in
+        :meth:`execute_plan`'s container (subclass hook; the key-span path
+        and shard tasks call it directly: their spans are in range)."""
         return self.execute_plan(self.plan_span(lo, hi), s, rng=rng)
 
     def _key_view(self):
@@ -230,7 +231,7 @@ class RangeSamplerBase(RangeQueryMixin):
         :class:`EmptyQueryError` when it is empty.
         """
         validate_sample_size(s)
-        n = len(self)
+        n = len(self.keys)
         if lo < 0 or hi > n:
             raise ValueError(f"index span [{lo}, {hi}) lies outside [0, {n})")
         if lo >= hi:
@@ -284,8 +285,9 @@ class RangeSamplerBase(RangeQueryMixin):
 
     def execute_plan(
         self, plan: QueryPlan, s: int, rng: RNGLike = None
-    ) -> List[int]:
-        """Draw ``s`` samples from a plan (all randomness spent here).
+    ) -> Sequence[int]:
+        """Draw ``s`` samples from a plan (all randomness spent here): an
+        ``intp`` index array when ``kernels.use_batch(s)``, else a list.
 
         Assumes a plan built by this sampler (or rebuilt from its
         portable form) and ``s >= 1``; :meth:`sample_span` is the
@@ -397,7 +399,7 @@ class TreeWalkRangeSampler(RangeSamplerBase):
 
     def execute_plan(
         self, plan: QueryPlan, s: int, rng: RNGLike = None
-    ) -> List[int]:
+    ) -> Sequence[int]:
         tree = self._tree
         rng = self._rng if rng is None else rng
         enabled = obs.ENABLED
@@ -449,7 +451,7 @@ class TreeWalkRangeSampler(RangeSamplerBase):
 
     def _sample_span_batch(
         self, cover, prob, alias, np_slot, s: int, rng: RNGLike = None
-    ) -> List[int]:
+    ) -> Any:
         """Batched §3.2 walk: draw all cover nodes, then descend all
         ``s`` tokens level-by-level in vectorized steps."""
         np = kernels.np
@@ -469,7 +471,7 @@ class TreeWalkRangeSampler(RangeSamplerBase):
             # Same convention as the scalar walk: one visit for each
             # token's cover node plus one per descent step.
             _TW_VISITS.add(s + visit_out[0])
-        return arrays["lo"][leaves].tolist()
+        return arrays["lo"][leaves]
 
     def space_words(self) -> int:
         # 6 words per node (children, span, key, weight), 2n-1 nodes.
@@ -625,16 +627,9 @@ class AliasAugmentedRangeSampler(RangeSamplerBase):
             hint=tuple(cover),
         )
 
-    def _draw_span(self, lo: int, hi: int, s: int, rng: RNGLike):
-        return self._draw(self.plan_span(lo, hi), s, rng)
-
     def execute_plan(
         self, plan: QueryPlan, s: int, rng: RNGLike = None
-    ) -> List[int]:
-        indices = self._draw(plan, s, rng)
-        return indices if isinstance(indices, list) else indices.tolist()
-
-    def _draw(self, plan: QueryPlan, s: int, rng: RNGLike):
+    ) -> Sequence[int]:
         """The Lemma-2 draw: ``s`` indices from ``plan``, in cover order.
 
         From :data:`kernels.BATCH_MIN_SIZE` draws on, every part's draws
@@ -822,7 +817,7 @@ class ChunkedRangeSampler(RangeSamplerBase):
 
     def _sample_partial(
         self, lo: int, tables: list, count: int, rng: RNGLike
-    ) -> List[int]:
+    ) -> Sequence[int]:
         """Draw from a partial chunk starting at ``lo`` via its
         on-the-fly alias structure ``tables`` (:meth:`_partial_plan`)."""
         if obs.ENABLED:
@@ -834,12 +829,12 @@ class ChunkedRangeSampler(RangeSamplerBase):
                 np_slot[0] = kernels.as_alias_arrays(prob, alias)
             np_prob, np_alias = np_slot[0]
             draws = kernels.alias_draw_batch(np_prob, np_alias, count, gen)
-            return (lo + draws).tolist()
+            return lo + draws
         return [int(lo + alias_draw(prob, alias, rng)) for _ in range(count)]
 
     def _sample_chunk_aligned(
         self, chunk_lo: int, chunk_hi: int, sub_slot: list, count: int, rng: RNGLike
-    ) -> List[int]:
+    ) -> Sequence[int]:
         """Two-level sampling over fully covered chunks (§4.2).
 
         ``count`` chunks are drawn through T_chunk from the sub-plan in
@@ -851,7 +846,7 @@ class ChunkedRangeSampler(RangeSamplerBase):
         sub_plan = sub_slot[0]
         if sub_plan is None:
             sub_plan = sub_slot[0] = t_chunk._build_plan(chunk_lo, chunk_hi)
-        chunk_draws = t_chunk._draw(sub_plan, count, rng)
+        chunk_draws = t_chunk.execute_plan(sub_plan, count, rng)
         if kernels.use_batch(count):
             return self._chunk_level_batch(chunk_draws, rng)
         per_chunk: dict = {}
@@ -876,9 +871,9 @@ class ChunkedRangeSampler(RangeSamplerBase):
                 result.append(c_lo + (urn if random() < prob[slot] else alias[slot]))
         return result
 
-    def _chunk_level_batch(self, chunk_draws, rng: RNGLike) -> List[int]:
-        """Resolve a batch of chunk draws (an ``intp`` array or a list, as
-        T_chunk drew them) to element indices in one pass.
+    def _chunk_level_batch(self, chunks: Any, rng: RNGLike) -> Any:
+        """Resolve a batch of chunk draws (T_chunk's ``intp`` array) to
+        element indices in one pass.
 
         All per-chunk alias tables sit in one padded flat pair of
         ``g × chunk_size`` urns (O(n) space — the structure is already
@@ -888,7 +883,6 @@ class ChunkedRangeSampler(RangeSamplerBase):
         """
         np = kernels.np
         prob, alias, lengths, starts = self._np_chunks
-        chunks = np.asarray(chunk_draws, dtype=np.intp)
         if obs.ENABLED:
             # np.unique is an enabled-only cost: the distinct-chunk count
             # is exactly the "chunk touches" quantity §4.2's two-level
@@ -899,7 +893,7 @@ class ChunkedRangeSampler(RangeSamplerBase):
         picks = kernels.ragged_alias_draw(
             prob, alias, starts, lengths, chunks, kernels.batch_generator(rng)
         )
-        return (starts[chunks] + picks).tolist()
+        return starts[chunks] + picks
 
     def _build_plan(self, lo: int, hi: int, hint: Any = None) -> QueryPlan:
         """The Figure-2 plan for ``[lo, hi)``.
@@ -957,7 +951,9 @@ class ChunkedRangeSampler(RangeSamplerBase):
 
     def execute_plan(
         self, plan: QueryPlan, s: int, rng: RNGLike = None
-    ) -> List[int]:
+    ) -> Sequence[int]:
+        """The Theorem-3 draw, in part order. A lone non-empty part comes
+        back as drawn; several join as ``merge_indices`` joins shards."""
         if obs.ENABLED:
             _CH_QUERIES.inc()
             _CH_DRAWS.add(s)
@@ -965,13 +961,18 @@ class ChunkedRangeSampler(RangeSamplerBase):
         split, parts = plan.payload
         if len(parts) == 1:
             return self._sample_part(parts[0], s, rng)
-        result: List[int] = []
-        for part, count in zip(parts, split.counts(s, rng)):
-            if count:
-                result.extend(self._sample_part(part, count, rng))
-        return result
+        drawn = [
+            self._sample_part(part, count, rng)
+            for part, count in zip(parts, split.counts(s, rng))
+            if count
+        ]
+        if len(drawn) == 1:
+            return drawn[0]
+        if kernels.use_batch(s):
+            return kernels.np.concatenate(drawn, dtype=kernels.np.intp)
+        return [index for part in drawn for index in part]  # all lists here
 
-    def _sample_part(self, part: tuple, count: int, rng: RNGLike) -> List[int]:
+    def _sample_part(self, part: tuple, count: int, rng: RNGLike) -> Sequence[int]:
         """Draw ``count`` indices from one Figure-2 part of a plan."""
         kind, p_lo, p_hi, _, slot = part
         if kind == "mid":

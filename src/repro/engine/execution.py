@@ -77,7 +77,7 @@ def _run_inline(sharded: Any, plan: PlacementPlan) -> Partials:
     from repro.engine.shard import run_shard_task
 
     return [
-        run_shard_task(sharded.shards, task, sub)
+        run_shard_task(sharded.shards[task.shard], task, sub)
         for task, sub in zip(plan.tasks, plan.plans)
     ]
 
@@ -106,10 +106,12 @@ class ThreadShardRunner:
             return _run_inline(sharded, plan)
         from repro.engine.shard import run_shard_task
 
+        shards = sharded.shards
         return list(
             self._engine._ensure_threads().map(
-                lambda pair: run_shard_task(sharded.shards, *pair),
-                zip(plan.tasks, plan.plans),
+                lambda task, sub: run_shard_task(shards[task.shard], task, sub),
+                plan.tasks,
+                plan.plans,
             )
         )
 
@@ -308,10 +310,10 @@ class ProcessShardRunner:
     shard is rebuilt (or shm-attached) by exactly one process no matter
     how many requests run. Its token is exported once per view — shared
     memory (:meth:`SamplingEngine.share`) when the structure has an
-    exporter, a raw ``("shard", ...)`` array token otherwise — and each
-    request sends only its draw tuples. A draw whose process dies twice
-    fails the request with a :class:`~repro.errors.WorkerCrashedError`
-    naming the shard.
+    exporter, a ``("call", ...)`` rebuild from its keys and weights
+    otherwise — and each request sends only its draw tuples. A draw
+    whose process dies twice fails the request with a
+    :class:`~repro.errors.WorkerCrashedError` naming the shard.
     """
 
     def __init__(self, engine: Any, sharded: Any):
@@ -333,12 +335,15 @@ class ProcessShardRunner:
                 token = self._engine.share(structure)
             except ShmShareError:
                 cls = type(structure)
-                token = (
-                    "shard",
-                    f"{cls.__module__}:{cls.__qualname__}",
-                    tuple(structure.keys),
-                    tuple(structure.weights),
+                # Builds consume no randomness and every shard draw brings
+                # its own rng, so a fixed rng=0 keeps the rebuilt shard
+                # byte-identical to the parent's copy.
+                params = (
+                    ("keys", tuple(structure.keys)),
+                    ("rng", 0),
+                    ("weights", tuple(structure.weights)),
                 )
+                token = ("call", f"{cls.__module__}:{cls.__qualname__}", params)
             key = self._keys[shard] = pickle.dumps(token)
         return key
 

@@ -193,12 +193,11 @@ class PlacementPlan:
 
     ``plans`` holds one entry per task: the shard-local
     :class:`~repro.core.planner.QueryPlan` the parent planned once, so
-    executing the task never recomputes the cover — inline and thread
-    runners pass the plan object straight to the shard's
-    ``execute_plan``, the process runner ships its
-    :meth:`~repro.core.planner.QueryPlan.portable` form. ``None`` marks a
-    shard with no plan (a non-planful structure); that task falls back
-    to the shard's own ``sample_span``.
+    executing the task never recomputes the cover — every runner hands
+    it to :func:`repro.engine.shard.run_shard_task`, the process runner
+    through its :meth:`~repro.core.planner.QueryPlan.portable` form,
+    which the worker rebuilds. ``None`` marks a shard with no plan (a
+    non-planful structure); that task falls back to ``_draw_span``.
     """
 
     base: int

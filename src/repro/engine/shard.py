@@ -71,29 +71,31 @@ _PLAN_REUSE = obs.counter(
 
 
 def run_shard_task(
-    shards: Sequence[Any], task: ShardTask, plan: Any = None
-) -> Tuple[int, List[int]]:
-    """Execute one :class:`~repro.engine.protocol.ShardTask` locally.
+    shard: Any, task: ShardTask, plan: Any = None
+) -> Tuple[int, Sequence[int]]:
+    """Execute one :class:`~repro.engine.protocol.ShardTask` on ``shard``
+    (the structure of shard ``task.shard``).
 
-    The single point where a plan task turns into draws: shard
-    ``task.shard`` samples its local span on the task's own stateless
-    stream. Every execution backend — inline, thread pool, resident
-    worker process — funnels through this function (or its worker-side
-    twin), which is what makes the backends byte-identical.
+    The single point where a plan task turns into draws: the shard
+    samples its local span on the task's own stateless stream. Every
+    execution backend — inline, thread pool, resident worker process —
+    funnels through this function, which is what makes the backends
+    byte-identical.
 
     ``plan`` optionally carries the shard-local
-    :class:`~repro.core.planner.QueryPlan` the parent already built —
-    then execution goes straight to the shard's ``execute_plan`` and no
-    cover is recomputed (byte-identical: ``sample_span`` *is*
-    ``plan_span`` + ``execute_plan``, and planning consumes no
-    randomness).
+    :class:`~repro.core.planner.QueryPlan` the parent built (or a worker
+    rebuilt from its hint) — then execution goes straight to the shard's
+    ``execute_plan`` and no cover is recomputed (byte-identical:
+    ``_draw_span`` *is* ``plan_span`` + ``execute_plan``, and planning
+    consumes no randomness). Without one, ``_draw_span`` runs unchecked,
+    since the parent's active-shard table keeps the span inside the
+    shard. The indices come in the draw's own container.
     """
-    shard = shards[task.shard]
     rng = ensure_rng(task.seed)
     try:
         if plan is not None:
             return task.shard, shard.execute_plan(plan, task.quota, rng=rng)
-        return task.shard, shard.sample_span(task.lo, task.hi, task.quota, rng=rng)
+        return task.shard, shard._draw_span(task.lo, task.hi, task.quota, rng)
     finally:
         release_stream(rng)
 

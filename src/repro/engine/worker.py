@@ -16,16 +16,13 @@ Token shapes (first element is the kind):
 * ``("demo", spec, n)`` — ``demo_build(spec, n=n)``, the synthesized CLI
   workload.
 * ``("call", "module:attr", params_items)`` — an arbitrary importable
-  factory (test fault injection, custom builders).
+  factory (test fault injection, custom builders), and the fallback for
+  a key-space shard with no shm exporter: its class, called with its
+  ``keys``, ``weights`` and ``rng=0``.
 * ``("shm", manifest)`` — attach a structure the parent exported into
   shared memory (:mod:`repro.engine.shm`, via
   :meth:`SamplingEngine.share`). The "rebuild" is an mmap attach: no
   structure arrays cross the process boundary and no O(n) build runs.
-* ``("shard", "module:Class", keys, weights)`` — rebuild one key-space
-  shard of a sharded placement from its raw arrays. The fallback path
-  for shard-resident workers when the shard's structure has no shm
-  exporter; the preferred path ships the shard as an ``("shm", ...)``
-  token instead.
 
 :func:`serve` is the main loop of one engine worker process
 (:class:`repro.engine.execution.Residents`). It reads messages from its
@@ -33,8 +30,9 @@ end of a duplex pipe, receives each build token once, and answers every
 message on the same pipe through :func:`execute`: a chunk of whole
 requests (local × process), or a shard sub-draw — ``(shard, lo, hi,
 quota, seed, trace, portable)``, a few ints — so sharded per-request
-bytes stay O(log n) end to end. Partials at or above the batch cutoff
-cross the pipe as ``intp`` arrays (lists on the scalar tier).
+bytes stay O(log n) end to end. A partial crosses the pipe in the
+container its draw made: an ``intp`` array at or above the batch
+cutoff, a list below it (and on the scalar tier).
 
 Every execution error is captured *in the worker* into the result
 envelope, so one bad request cannot take a worker down; only a worker
@@ -61,9 +59,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.core import kernels
-from repro.engine.protocol import QueryRequest, QueryResult
-from repro.substrates.rng import ensure_rng, release_stream
+from repro.engine.protocol import QueryRequest, QueryResult, ShardTask
 
 __all__ = ["build_from_token", "execute", "serve"]
 
@@ -95,15 +91,6 @@ def build_from_token(token: Tuple[Any, ...]) -> Any:
 
         _, manifest = token
         return shm.attach_sampler(manifest)
-    if kind == "shard":
-        _, target, keys, weights = token
-        module_name, _, attr = target.partition(":")
-        shard_cls = getattr(importlib.import_module(module_name), attr)
-        # Construction consumes no instance randomness (builds are
-        # deterministic) and every shard draw arrives with an explicit
-        # per-task rng, so a fixed rebuild seed keeps the resident shard
-        # byte-identical to the parent's copy.
-        return shard_cls(list(keys), weights=list(weights), rng=0)
     raise ValueError(f"unknown build token kind {kind!r}")
 
 
@@ -215,40 +202,38 @@ def _run_draw(
     :meth:`~repro.core.planner.QueryPlan.portable`. When present (and the
     resident shard is planful), the worker rebuilds the parent's
     shard-local plan from the cover hint — skipping the cover search —
-    and executes it; planning consumes no randomness, so the draws stay
-    byte-identical to the ``sample_span`` path. The entry must target the
-    shard ``token`` rebuilds (the parent routes one shard per resident
-    worker). The outcome is ``("ok", local_indices)`` — an ``intp`` array
-    when the quota clears the batch cutoff, a list below it or on the
-    scalar tier — or ``("err", exception)``. With ``harvest`` on, the
+    and hands it to :func:`repro.engine.shard.run_shard_task`, the draw
+    every runner makes; planning consumes no randomness, so the draws
+    stay byte-identical. The entry must target the shard ``token``
+    rebuilds (the parent routes one shard per resident worker). The
+    outcome is ``("ok", local_indices)``, in the draw's own container,
+    or ``("err", exception)``. With ``harvest`` on, the
     sub-draw lands in the flight recorder tagged with its shard id
     (``spec`` suffix ``#s<j>``), so per-shard timelines fall out of the
     normal obs tail.
     """
+    # Imported here, so a local × process worker starts without loading
+    # the range structures.
+    from repro.engine.shard import run_shard_task
+
     shard, lo, hi, quota, seed, trace_id = entry[:6]
     portable = entry[6] if len(entry) > 6 else None
     trace_token = obs.set_current_trace(trace_id) if harvest else None
     started = time.perf_counter()
     error: Optional[Exception] = None
-    rng = ensure_rng(seed)
     try:
         sampler = _resident(key, token)
         with obs.span("worker.shard_draw", s=quota, shard=shard):
+            plan = None
             if portable is not None and getattr(sampler, "plan_kind", None):
                 plan = sampler.plan_span(lo, hi, portable=portable)
-                local = sampler.execute_plan(plan, quota, rng=rng)
-            else:
-                local = sampler.sample_span(lo, hi, quota, rng=rng)
-        if kernels.use_batch(len(local)):
-            # An array pickles as one buffer and feeds the parent's
-            # merge kernel without a list walk on either side.
-            local = kernels.np.asarray(local, dtype=kernels.np.intp)
+            task = ShardTask(shard, lo, hi, quota, seed)
+            _, local = run_shard_task(sampler, task, plan)
         outcome: Tuple[str, Any] = ("ok", local)
     except Exception as exc:
         error = _picklable_error(exc)
         outcome = ("err", error)
     finally:
-        release_stream(rng)
         if trace_token is not None:
             obs.reset_current_trace(trace_token)
     if harvest:
@@ -309,6 +294,4 @@ def _spec_label(token: Tuple[Any, ...]) -> str:
         return str(token[1])
     if kind == "shm" and len(token) > 1:
         return f"shm:{token[1].get('kind', '?')}"
-    if kind == "shard" and len(token) > 1:
-        return f"shard:{str(token[1]).rpartition(':')[2]}"
     return str(kind)

@@ -170,7 +170,8 @@ class TestPlanMemoRace:
             finally:
                 sys.setswitchinterval(interval)
             assert not any(thread.is_alive() for thread in threads)
-            assert got == expected
+            # Draws of s >= the batch cutoff are arrays: compare list forms.
+            assert [list(draw) for draw in got] == [list(draw) for draw in expected]
             split, parts = plan.payload
             (mid_slot,) = [slot for kind, _, _, _, slot in parts if kind == "mid"]
             assert mid_slot[0] is not None  # the race filled the sub-plan slot

@@ -1,7 +1,10 @@
 """Unit tests shared across the three weighted range samplers (§3.2, §4)."""
 
+import random
+
 import pytest
 
+from repro.core import kernels
 from repro.core.naive import NaiveRangeSampler
 from repro.core.range_sampler import (
     AliasAugmentedRangeSampler,
@@ -154,3 +157,102 @@ class TestTreeWalkSpecifics:
     def test_space_linear(self):
         sampler = TreeWalkRangeSampler(make_keys(256))
         assert sampler.space_words() == 6 * (2 * 256 - 1)
+
+
+@pytest.fixture(params=["numpy", "scalar"])
+def tier(request, monkeypatch):
+    """The kernel tier the structure is built and drawn on."""
+    if request.param == "scalar":
+        monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
+    elif not kernels.HAVE_NUMPY:
+        pytest.skip("numpy tier unavailable")
+    return request.param
+
+
+@pytest.fixture(params=["built", "attached"])
+def share(request):
+    """Identity for a built structure, a shared-memory round trip for an
+    attached one (its segments are unlinked at teardown)."""
+    if request.param == "built":
+        yield lambda sampler: sampler
+        return
+    if kernels.np is None:
+        pytest.skip("shared-memory attach needs numpy")
+    from repro.engine import shm
+
+    segments = []
+
+    def attach(sampler):
+        manifest, made = shm.export_sampler(sampler)
+        segments.extend(made)
+        return shm.attach_sampler(manifest)
+
+    yield attach
+    shm.unlink_segments(segments)
+
+
+@pytest.mark.parametrize("key_type", [float, int])
+@pytest.mark.parametrize(
+    "sampler_cls",
+    [TreeWalkRangeSampler, AliasAugmentedRangeSampler, ChunkedRangeSampler],
+)
+class TestDrawContainer:
+    """``execute_plan`` keeps the container its kernel rung made (an
+    ``intp`` array exactly when ``kernels.use_batch(s)``, else a list of
+    ``int``); the public methods always return lists of Python values."""
+
+    N = 256  # Theorem 3 cuts it into chunks of 8 keys
+    SIZES = (1, 15, 16, 17, 1024)
+    # Chunked parts: one (a partial chunk; the aligned middle), two (head
+    # + middle), three (head + middle + tail), and a head and a tail of
+    # three keys each, whose split at s = 20 leaves every part below the
+    # batch cutoff while s is not.
+    SPANS = ((3, 7), (8, 64), (3, 64), (3, 61), (0, N))
+    SMALL_PARTS = (5, 11)
+
+    def _draws_ok(self, draws, s, context):
+        if kernels.use_batch(s):
+            assert isinstance(draws, kernels.np.ndarray), context
+            assert draws.dtype == kernels.np.intp, context
+        else:
+            assert type(draws) is list, context
+            assert {type(v) for v in draws} == {int}, context
+        assert len(draws) == s, context
+
+    def _lists_ok(self, sampler, lo, hi, s, key_type, context):
+        x, y = sampler.keys[lo], sampler.keys[hi - 1]
+        for draws in (
+            sampler.sample_span(lo, hi, s, rng=3),
+            sampler.sample_indices(x, y, s, rng=3),
+        ):
+            assert type(draws) is list, context
+            assert {type(v) for v in draws} == {int}, context
+        values = sampler.sample(x, y, s, rng=3)
+        assert type(values) is list, context
+        assert {type(v) for v in values} == {key_type}, context
+
+    def test_execute_plan_container(self, sampler_cls, key_type, tier, share):
+        keys = [key_type(3 * i) for i in range(self.N)]
+        weights = [1.0 + (i % 5) for i in range(self.N)]
+        sampler = share(sampler_cls(keys, weights, rng=1))
+        for lo, hi in self.SPANS:
+            plan = sampler.plan_span(lo, hi)
+            for s in self.SIZES:
+                context = (tier, lo, hi, s)
+                self._draws_ok(sampler.execute_plan(plan, s, random.Random(s)), s, context)
+                self._lists_ok(sampler, lo, hi, s, key_type, context)
+
+    def test_small_parts_join_to_an_array(self, sampler_cls, key_type, tier, share):
+        keys = [key_type(3 * i) for i in range(self.N)]
+        sampler = share(sampler_cls(keys, rng=1))
+        lo, hi = self.SMALL_PARTS
+        plan = sampler.plan_span(lo, hi)
+        s = 20
+        if sampler_cls is ChunkedRangeSampler:
+            split, parts = plan.payload
+            assert [kind for kind, *_ in parts] == ["head", "tail"]
+            # The draw's first random calls are this split.
+            counts = split.counts(s, random.Random(7))
+            assert max(counts) < kernels.BATCH_MIN_SIZE <= s
+        self._draws_ok(sampler.execute_plan(plan, s, random.Random(7)), s, (tier, s))
+        self._lists_ok(sampler, lo, hi, s, key_type, (tier, s))

@@ -79,16 +79,16 @@ def build_faulty(**params: Any) -> FaultySampler:
 class FaultyRangeSampler(RangeSamplerBase):
     """Range structure whose shard hard-dies over poisoned keys.
 
-    Keys below :data:`DIE_BELOW` are poisoned: a draw (``sample_span``,
-    through the ``_draw_span`` hook) over a span that starts on a
-    poisoned key calls :func:`die`. Under the
+    Keys below :data:`DIE_BELOW` are poisoned: a draw (the
+    ``_draw_span`` hook, which ``sample_span`` and every shard task run)
+    over a span that starts on a poisoned key calls :func:`die`. Under the
     composed ``sharded × process`` backend only the shard *owning* those
     keys has a dying resident worker, so the crash-isolation test can
     assert that requests touching that shard fail with
     ``WorkerCrashedError`` while requests confined to sibling shards
     keep succeeding on their intact residents. The class is importable
     by dotted path (this module, not a ``test_*`` file) because the
-    runner's fallback ``("shard", ...)`` token rebuilds it worker-side.
+    runner's fallback ``("call", ...)`` token rebuilds it worker-side.
     """
 
     DIE_BELOW = 10.0

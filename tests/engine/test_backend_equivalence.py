@@ -228,7 +228,7 @@ class TestComposedPlacementTier:
 
     def test_composed_process_ships_tokens_not_structures(self, metrics_on):
         # The shard residents attach shm segments (or rebuild once from a
-        # raw-array token). Each resident receives each of its shards'
+        # call token). Each resident receives each of its shards'
         # pickled tokens once; per-request traffic is then the draw
         # message alone — a few ints per shard, O(log n) bytes.
         n = 20_000

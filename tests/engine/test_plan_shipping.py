@@ -122,11 +122,11 @@ class TestShippedPlanByteIdentity:
 
 class TestWorkerExecutesShippedPlans:
     def _token(self, keys, weights):
+        # The runner's fallback shard token: the shard class as a factory.
         return (
-            "shard",
+            "call",
             "repro.core.range_sampler:ChunkedRangeSampler",
-            tuple(keys),
-            tuple(weights),
+            (("keys", tuple(keys)), ("rng", 0), ("weights", tuple(weights))),
         )
 
     def test_portable_entry_matches_span_path(self):
@@ -137,17 +137,19 @@ class TestWorkerExecutesShippedPlans:
         token = self._token(keys, weights)
         key = pickle.dumps(token) + b"#plan-shipping-identity"
         parent = ChunkedRangeSampler(list(keys), weights=list(weights), rng=0)
-        portable = parent.plan_span(3, 57).portable()
         # Quota 5 returns a list; 40 clears the batch cutoff and returns
-        # an intp array on the numpy tier.
-        for quota in (5, 40):
+        # an intp array on the numpy tier. [3, 9) is a partial head and a
+        # partial tail chunk: at quota 20 each part draws fewer than the
+        # cutoff, and their join is still an array.
+        for lo, hi, quota in ((3, 57, 5), (3, 57, 40), (3, 9, 20)):
+            portable = parent.plan_span(lo, hi).portable()
             try:
                 _, plain_out, _ = execute(
-                    key, token, "shard", [(0, 3, 57, quota, 1234, None)]
+                    key, token, "shard", [(0, lo, hi, quota, 1234, None)]
                 )
                 _RESIDENT.pop(key, None)  # fresh resident for the shipped leg
                 _, shipped_out, _ = execute(
-                    key, token, "shard", [(0, 3, 57, quota, 1234, None, portable)]
+                    key, token, "shard", [(0, lo, hi, quota, 1234, None, portable)]
                 )
             finally:
                 _RESIDENT.pop(key, None)
