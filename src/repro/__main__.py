@@ -190,8 +190,8 @@ def _engine_run(
                 return 2
             # The composed shard-per-process backend: the engine shards
             # the structure, exports each shard into shared memory (or a
-            # call token that rebuilds it) once, and ships O(log n)
-            # sub-draw tasks.
+            # call token that rebuilds it) once, and ships sub-draw
+            # tasks of a few ints each.
             run_once = lambda: engine.run(sampler, batch)  # noqa: E731
         elif backend == "process":
             if shm:

@@ -187,12 +187,9 @@ class CoverageSampler(EngineSampler):
         prob, alias = tables
         return [lo + alias_draw(prob, alias, rng) for _ in range(count)]
 
-    def _build_plan(self, query: Any, hint: Any = None) -> QueryPlan:
+    def _build_plan(self, query: Any) -> QueryPlan:
         """Theorem-5 plan: the cover ``C_q`` and its span weights."""
-        if hint is not None:
-            cover = [tuple(span) for span in hint]
-        else:
-            cover = self._index.find_cover(query)
+        cover = self._index.find_cover(query)
         weights = [self.span_weight(span) for span in cover]
         return QueryPlan(
             self.plan_kind,
@@ -200,30 +197,24 @@ class CoverageSampler(EngineSampler):
             spans=tuple(cover),
             weights=tuple(weights),
             payload=(cover, weights),
-            hint=tuple(cover),
         )
 
-    def plan_query(self, query: Any, *, portable: Any = None) -> QueryPlan:
+    def plan_query(self, query: Any) -> QueryPlan:
         """The (memoized) plan for ``query``.
 
         Unhashable queries (an index type with, say, list-shaped
         predicates) are planned per call and bypass the store.
         """
-        hint = None
-        if portable is not None:
-            kind, key, hint = portable
-            if kind != self.plan_kind or key != query:
-                hint = None
         try:
             plan = self.plan_cache.get(query)
         except TypeError:  # unhashable query: plan without caching
-            return self._build_plan(query, hint=hint)
+            return self._build_plan(query)
         if plan is None:
             if obs.ENABLED:
                 with obs.span("plan.build", kind=self.plan_kind):
-                    plan = self._build_plan(query, hint=hint)
+                    plan = self._build_plan(query)
             else:
-                plan = self._build_plan(query, hint=hint)
+                plan = self._build_plan(query)
             self.plan_cache.put(query, plan)
         return plan
 

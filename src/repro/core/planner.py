@@ -17,10 +17,9 @@ explicit:
     Theorem-3 plan the T_chunk sub-plan of its chunk-aligned middle).
     The payload is the whole draw state, so a query makes one store
     lookup and a span takes one store entry; state that only a draw
-    needs is filled into one-slot memos on the first execute.
-    ``portable()`` strips the payload down to plain data that can cross
-    a process boundary, so a parent can plan once and ship the plan to
-    shard executions.
+    needs is filled into one-slot memos on the first execute. A plan
+    stays in the process that built it: a shard is planned by whichever
+    process draws from it, through that process's own store.
 
 ``PlanStore``
     A bounded LRU shared by *many* samplers, keyed by structure
@@ -35,9 +34,10 @@ explicit:
     lock, delegates ``put``, and reports per-instance
     hit/miss/eviction tallies.
 
-Because a plan is deterministic, caching and shipping plans cannot
-change any query's output — only its latency. Byte-identity of the
-sample streams is pinned by ``tests/engine/test_golden_streams.py``.
+Because a plan is deterministic, caching plans, or building them in
+another process, cannot change any query's output — only its latency.
+Byte-identity of the sample streams is pinned by
+``tests/engine/test_golden_streams.py``.
 """
 
 from __future__ import annotations
@@ -132,18 +132,13 @@ class QueryPlan:
         Sampler-specific resolved draw state (alias tables, node
         entries, prepared splits, nested sub-plans, fan-out rows).
         Opaque to everything but the owning sampler's ``execute_plan``;
-        may hold live object references and is therefore **not**
-        shipped across processes. Memo slots inside it are filled by
-        assigning values that depend only on the structure and the
-        span, so a cached plan is safe to execute from many threads.
-    hint:
-        Plain-data summary of the decomposition (cover node ids, part
-        ranges) sufficient for the owning sampler *class* to rebuild the
-        plan without redoing the cover search. This is what
-        :meth:`portable` ships to worker processes.
+        may hold live object references and is therefore never shipped
+        across processes. Memo slots inside it are filled by assigning
+        values that depend only on the structure and the span, so a
+        cached plan is safe to execute from many threads.
     """
 
-    __slots__ = ("kind", "key", "spans", "weights", "payload", "hint")
+    __slots__ = ("kind", "key", "spans", "weights", "payload")
 
     def __init__(
         self,
@@ -152,14 +147,12 @@ class QueryPlan:
         spans: Optional[Tuple[Tuple[int, int], ...]],
         weights: Tuple[float, ...],
         payload: Any = None,
-        hint: Any = None,
     ):
         self.kind = kind
         self.key = key
         self.spans = spans
         self.weights = weights
         self.payload = payload
-        self.hint = hint
 
     @property
     def cover_size(self) -> int:
@@ -169,15 +162,6 @@ class QueryPlan:
     @property
     def total_weight(self) -> float:
         return float(sum(self.weights))
-
-    def portable(self) -> Tuple[str, Hashable, Any]:
-        """Plain-data form for crossing a process boundary.
-
-        Deliberately excludes ``payload`` (live tables) and ``spans``
-        (recomputable): the wire cost stays O(cover) = O(log n) ids, in
-        keeping with the engine's O(log n)-bytes-per-request budget.
-        """
-        return (self.kind, self.key, self.hint)
 
     def describe(self) -> Dict[str, Any]:
         """Human-oriented summary (the ``--explain`` payload)."""

@@ -91,9 +91,7 @@ class RangeSamplerBase(RangeQueryMixin):
     :class:`~repro.core.planner.QueryPlan` (cached through the shared
     plan store; consumes **no** randomness), :meth:`execute_plan` (the
     subclass's one draw) spends the randomness, and :meth:`_draw_span`
-    composes the two. The split lets the engine plan once per request
-    and ship the plan to shard executions. Lists are made only by the
-    public methods.
+    composes the two. Lists are made only by the public methods.
     """
 
     #: Plan-kind tag for planful subclasses; ``None`` marks a sampler
@@ -243,17 +241,14 @@ class RangeSamplerBase(RangeQueryMixin):
 
     # -- plan → execute split (planful subclasses) ---------------------
 
-    def plan_span(self, lo: int, hi: int, *, portable: Any = None) -> QueryPlan:
+    def plan_span(self, lo: int, hi: int) -> QueryPlan:
         """The (memoized) :class:`QueryPlan` for the index range
         ``[lo, hi)``.
 
         Planning is a pure function of the structure and the span — it
-        consumes no randomness, which is the property that makes both
-        caching and cross-process shipping of plans safe. ``portable``
-        optionally carries a :meth:`QueryPlan.portable` hint from a plan
-        built elsewhere (the parent process, under sharded placement),
-        letting this sampler materialize the plan without redoing the
-        cover search.
+        consumes no randomness, which is the property that makes caching
+        plans safe, and lets each shard of a sharded view plan its own
+        sub-span in whichever process draws from it.
         """
         if self.plan_kind is None:
             raise NotImplementedError(
@@ -261,26 +256,16 @@ class RangeSamplerBase(RangeQueryMixin):
             )
         plan = self.plan_cache.get((lo, hi))
         if plan is None:
-            hint = None
-            if portable is not None:
-                kind, key, hint = portable
-                if kind != self.plan_kind or key != (lo, hi):
-                    hint = None  # foreign hint: fall back to a local build
             if obs.ENABLED:
                 with obs.span("plan.build", kind=self.plan_kind, span=hi - lo):
-                    plan = self._build_plan(lo, hi, hint=hint)
+                    plan = self._build_plan(lo, hi)
             else:
-                plan = self._build_plan(lo, hi, hint=hint)
+                plan = self._build_plan(lo, hi)
             self.plan_cache.put((lo, hi), plan)
         return plan
 
-    def _build_plan(self, lo: int, hi: int, hint: Any = None) -> QueryPlan:
-        """Build the plan for ``[lo, hi)`` (subclass hook).
-
-        ``hint`` is this sampler kind's plain-data decomposition summary
-        (from :meth:`QueryPlan.portable`); when present the cover search
-        is skipped and only the local draw state is resolved.
-        """
+    def _build_plan(self, lo: int, hi: int) -> QueryPlan:
+        """Build the plan for ``[lo, hi)`` (subclass hook)."""
         raise NotImplementedError
 
     def execute_plan(
@@ -289,9 +274,8 @@ class RangeSamplerBase(RangeQueryMixin):
         """Draw ``s`` samples from a plan (all randomness spent here): an
         ``intp`` index array when ``kernels.use_batch(s)``, else a list.
 
-        Assumes a plan built by this sampler (or rebuilt from its
-        portable form) and ``s >= 1``; :meth:`sample_span` is the
-        validating compose.
+        Assumes a plan built by this sampler and ``s >= 1``;
+        :meth:`sample_span` is the validating compose.
         """
         raise NotImplementedError
 
@@ -376,16 +360,14 @@ class TreeWalkRangeSampler(RangeSamplerBase):
         self._rng = ensure_rng(rng)
         self.plan_cache = plan_scope(self.plan_kind, plan_cache_size)
 
-    def _build_plan(self, lo: int, hi: int, hint: Any = None) -> QueryPlan:
+    def _build_plan(self, lo: int, hi: int) -> QueryPlan:
         """Cover + cover-level alias tables for ``[lo, hi)``.
 
         The payload is ``(cover, prob, alias, np_slot)`` where
-        ``np_slot`` lazily holds the numpy views used by the batch path;
-        the hint is the cover node ids, from which a worker process can
-        rebuild the plan without redoing the O(log n) cover search.
+        ``np_slot`` lazily holds the numpy views used by the batch path.
         """
         tree = self._tree
-        cover = list(hint) if hint is not None else tree.canonical_nodes_for_span(lo, hi)
+        cover = tree.canonical_nodes_for_span(lo, hi)
         cover_weights = [tree.node_weight(u) for u in cover]
         prob, alias = build_alias_tables(cover_weights)
         return QueryPlan(
@@ -394,7 +376,6 @@ class TreeWalkRangeSampler(RangeSamplerBase):
             spans=tuple(tree.leaf_span(u) for u in cover),
             weights=tuple(cover_weights),
             payload=(cover, prob, alias, [None]),
-            hint=tuple(cover),
         )
 
     def execute_plan(
@@ -587,7 +568,7 @@ class AliasAugmentedRangeSampler(RangeSamplerBase):
         self._urns = (prob, alias, offsets)
         self._urn_views, self._np_urns = kernels.buffer_views(self._urns)
 
-    def _build_plan(self, lo: int, hi: int, hint: Any = None) -> QueryPlan:
+    def _build_plan(self, lo: int, hi: int) -> QueryPlan:
         """The Lemma-2 plan for ``[lo, hi)``.
 
         The payload is ``(split, parts, table)``: ``split`` is the
@@ -599,10 +580,10 @@ class AliasAugmentedRangeSampler(RangeSamplerBase):
         ``table`` holds the same parts as a ``3 × k`` ``intp`` matrix for
         the batch pass (``None`` on the scalar tier). One gather over the
         cover node ids resolves them, so the query path does no per-node
-        lookups. The hint is the cover node ids.
+        lookups.
         """
         tree = self._tree
-        cover = list(hint) if hint is not None else tree.canonical_nodes_for_span(lo, hi)
+        cover = tree.canonical_nodes_for_span(lo, hi)
         if kernels.HAVE_NUMPY:
             np = kernels.np
             arrays = tree.numpy_arrays()
@@ -624,7 +605,6 @@ class AliasAugmentedRangeSampler(RangeSamplerBase):
             spans=tuple((base, base + size) for _, size, base in parts),
             weights=cover_weights,
             payload=(PreparedSplit(cover_weights), parts, table),
-            hint=tuple(cover),
         )
 
     def execute_plan(
@@ -895,7 +875,7 @@ class ChunkedRangeSampler(RangeSamplerBase):
         )
         return starts[chunks] + picks
 
-    def _build_plan(self, lo: int, hi: int, hint: Any = None) -> QueryPlan:
+    def _build_plan(self, lo: int, hi: int) -> QueryPlan:
         """The Figure-2 plan for ``[lo, hi)``.
 
         The payload is ``(split, parts)``: ``split`` is the
@@ -903,36 +883,23 @@ class ChunkedRangeSampler(RangeSamplerBase):
         and each part is ``(kind, p_lo, p_hi, weight, slot)``. A partial
         part's slot holds its on-the-fly alias tables; the ``"mid"``
         part's slot is a one-element list that holds its T_chunk
-        sub-plan, built on the plan's first draw (under sharded ×
-        process the parent only plans, so it never builds one). A query
-        therefore draws from one resolved plan, fetched with one store
-        lookup. Every memo slot (the sub-plan, the split's tier state,
-        the numpy table views) is filled by one assignment of a value
-        that depends only on the structure and the span, so threads
-        racing a cached plan's first execute build equal values and need
-        no lock.
+        sub-plan, built on the plan's first draw, so a plan that is only
+        explained never builds one. A query therefore draws from one
+        resolved plan, fetched with one store lookup. Every memo slot
+        (the sub-plan, the split's tier state, the numpy table views) is
+        filled by one assignment of a value that depends only on the
+        structure and the span, so threads racing a cached plan's first
+        execute build equal values and need no lock.
 
         Plan construction (split, part weights, partial-chunk alias
         tables) consumes no randomness, so a cache hit changes nothing
         about the query's output distribution — it only skips the
-        O(log n) setup work on repeated spans. The hint carries the
-        non-empty part ranges; part weights, the partial-chunk alias
-        tables and the T_chunk sub-plan are resolved locally from them
-        (they are views into this instance, not shippable data).
+        O(log n) setup work on repeated spans.
         """
-        if hint is not None:
-            ranges = list(hint)
-        else:
-            (h_lo, h_hi), (m_lo, m_hi), (t_lo, t_hi) = self.query_split(lo, hi)
-            ranges = []
-            if h_hi > h_lo:
-                ranges.append(("head", h_lo, h_hi))
-            if m_hi > m_lo:
-                ranges.append(("mid", m_lo, m_hi))
-            if t_hi > t_lo:
-                ranges.append(("tail", t_lo, t_hi))
         parts = []
-        for kind, p_lo, p_hi in ranges:
+        for kind, (p_lo, p_hi) in zip(("head", "mid", "tail"), self.query_split(lo, hi)):
+            if p_hi <= p_lo:
+                continue
             if kind == "mid":
                 weight = self._chunk_sums.range_sum(p_lo, p_hi)
                 parts.append(("mid", p_lo, p_hi, weight, [None]))
@@ -946,7 +913,6 @@ class ChunkedRangeSampler(RangeSamplerBase):
             spans=tuple((p_lo, p_hi) for _, p_lo, p_hi, _, _ in parts),
             weights=weights,
             payload=(PreparedSplit(weights), parts),
-            hint=tuple((kind, p_lo, p_hi) for kind, p_lo, p_hi, _, _ in parts),
         )
 
     def execute_plan(

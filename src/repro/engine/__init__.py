@@ -55,7 +55,6 @@ from repro.engine.placement import BACKENDS, PLACEMENTS, normalize_backend
 from repro.engine.protocol import (
     EngineOp,
     EngineSampler,
-    PlacementPlan,
     QueryRequest,
     QueryResult,
     Sampler,
@@ -68,7 +67,6 @@ __all__ = [
     "EngineOp",
     "EngineSampler",
     "PLACEMENTS",
-    "PlacementPlan",
     "QueryRequest",
     "QueryResult",
     "REGISTRY",

@@ -9,11 +9,16 @@ where work executes:
 * :class:`SerialShardRunner` — shard tasks inline, in the calling
   thread. The baseline every other runner must match byte-for-byte.
 * :class:`ThreadShardRunner` — shard tasks on the engine's thread pool
-  (the one local × thread uses), profitable when shard draws spend
-  their time in GIL-dropping numpy kernels.
+  (the one local × thread uses). On a 2-core x86_64 VM it read slower
+  than :class:`SerialShardRunner` in every cell measured (K = 2,
+  n = 2^16, 32 warm spans × 16 requests, best of 9, µs per request):
+  chunked 90–92 against 62–63 at s = 16 and 182–186 against 120–121 at
+  s = 1,024, Lemma 2 89–96 against 53–54 and TreeWalk 130–132 against
+  97–98 at s = 16.
 * :class:`ProcessShardRunner` — shard tasks on the engine's worker
   processes, one shard resident per process, so per-request traffic is
-  a handful of ints per shard — O(log n) pickled bytes.
+  one draw tuple of six plain values per shard; each worker plans its
+  shard's sub-spans in its own plan store.
 * :class:`Residents` — those worker processes: the one process runtime
   behind both process cells. Local × process sends it chunks of whole
   requests, sharded × process sends it shard draws.
@@ -36,7 +41,7 @@ from multiprocessing.connection import wait
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
-from repro.engine.protocol import PlacementPlan
+from repro.engine.protocol import ShardTask
 from repro.errors import WorkerCrashedError
 
 __all__ = [
@@ -73,21 +78,18 @@ Partials = List[Tuple[int, Sequence[int]]]
 Task = Tuple[int, bytes, str, List[Any]]
 
 
-def _run_inline(sharded: Any, plan: PlacementPlan) -> Partials:
+def _run_inline(sharded: Any, tasks: Sequence[ShardTask]) -> Partials:
     from repro.engine.shard import run_shard_task
 
-    return [
-        run_shard_task(sharded.shards[task.shard], task, sub)
-        for task, sub in zip(plan.tasks, plan.plans)
-    ]
+    return [run_shard_task(sharded.shards[task.shard], task) for task in tasks]
 
 
 class SerialShardRunner:
-    """Run every shard task inline, in plan order."""
+    """Run every shard task inline, in task order."""
 
-    def run_plan(self, sharded: Any, plan: PlacementPlan) -> Partials:
-        """``(shard, local_indices)`` partials for every task in the plan."""
-        return _run_inline(sharded, plan)
+    def run_plan(self, sharded: Any, tasks: Sequence[ShardTask]) -> Partials:
+        """``(shard, local_indices)`` partials for every task."""
+        return _run_inline(sharded, tasks)
 
 
 class ThreadShardRunner:
@@ -101,17 +103,15 @@ class ThreadShardRunner:
     def __init__(self, engine: Any):
         self._engine = weakref.proxy(engine)
 
-    def run_plan(self, sharded: Any, plan: PlacementPlan) -> Partials:
-        if len(plan.tasks) < 2 or self._engine.max_workers < 2:
-            return _run_inline(sharded, plan)
+    def run_plan(self, sharded: Any, tasks: Sequence[ShardTask]) -> Partials:
+        if len(tasks) < 2 or self._engine.max_workers < 2:
+            return _run_inline(sharded, tasks)
         from repro.engine.shard import run_shard_task
 
         shards = sharded.shards
         return list(
             self._engine._ensure_threads().map(
-                lambda task, sub: run_shard_task(shards[task.shard], task, sub),
-                plan.tasks,
-                plan.plans,
+                lambda task: run_shard_task(shards[task.shard], task), tasks
             )
         )
 
@@ -347,29 +347,25 @@ class ProcessShardRunner:
             key = self._keys[shard] = pickle.dumps(token)
         return key
 
-    def run_plan(self, sharded: Any, plan: PlacementPlan) -> Partials:
+    def run_plan(self, sharded: Any, tasks: Sequence[ShardTask]) -> Partials:
         trace = obs.current_trace() if obs.ENABLED else None
-        tasks: List[Task] = []
-        for task, sub in zip(plan.tasks, plan.plans):
-            # Ship the parent's shard-local plan as portable data (kind,
-            # key, cover hint) — O(log n) ints — so the worker skips the
-            # cover search and executes the very same plan.
-            portable = (
-                sub.portable()
-                if sub is not None and getattr(sub, "hint", None) is not None
-                else None
+        # One message per task: its shard's slot, token key and one draw
+        # tuple of a few ints. The key is exported here, before the run
+        # starts any process, so the export's writes do not fault on
+        # pages a new process shares copy-on-write.
+        messages: List[Task] = [
+            (
+                task.shard % self._slots,
+                self._key_for(task.shard),
+                "shard",
+                [(task.shard, task.lo, task.hi, task.quota, task.seed, trace)],
             )
-            draw = (task.shard, task.lo, task.hi, task.quota, task.seed, trace, portable)
-            # Exported here, before the run starts any process, so the
-            # export's writes do not fault on pages a new process shares
-            # copy-on-write.
-            tasks.append(
-                (task.shard % self._slots, self._key_for(task.shard), "shard", [draw])
-            )
+            for task in tasks
+        ]
         crash: Optional[WorkerCrashedError] = None
         failure: Optional[Exception] = None
         partials: Partials = []
-        for task, (outcome,) in zip(plan.tasks, self._engine._workers.run(tasks)):
+        for task, (outcome,) in zip(tasks, self._engine._workers.run(messages)):
             if outcome is None:
                 crash = crash or WorkerCrashedError(
                     f"worker process for shard {task.shard} died mid-draw, "

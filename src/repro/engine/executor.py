@@ -377,14 +377,16 @@ class SamplingEngine:
 
         Runs the planning half of the plan → execute split against the
         engine's view of ``sampler`` (so under the sharded placement
-        the result describes the fan-out plan, sub-plans included) and
-        reports it as plain data: the plan's cover spans and weights,
-        whether it came out of the plan store (``"cached"``) or was
-        built cold, and — for sharded plans — the deterministic expected
-        budget split ``s · w_j / W`` per shard. Planning consumes no
-        randomness, so explaining a request leaves every seeded stream
-        untouched (the plan store does warm up, exactly as a real
-        request would warm it).
+        the result describes the fan-out plan) and reports it as plain
+        data: the plan's cover spans and weights, whether it came out of
+        the plan store (``"cached"``) or was built cold, and — for
+        sharded plans — the deterministic expected budget split
+        ``s · w_j / W`` per shard plus each active shard's own plan
+        (``"sub_plans"``; ``None`` for a shard with no plan layer),
+        planned here on demand through the shard's store. Planning
+        consumes no randomness, so explaining a request leaves every
+        seeded stream untouched (the plan stores do warm up, exactly as
+        the request's own shard draws would warm them in this process).
 
         Raises :class:`TypeError` for structures with no planning
         surface and :class:`NotImplementedError` for range samplers
@@ -406,7 +408,7 @@ class SamplingEngine:
         )
         info["placement"] = self.placement
         if getattr(view, "plan_kind", None) == "sharded":
-            active, sub_plans = plan.payload
+            active = plan.payload
             total = sum(weight for _, _, _, weight in active)
             info["budget_split"] = [
                 {
@@ -419,14 +421,12 @@ class SamplingEngine:
                 }
                 for j, a, b, weight in active
             ]
-            info["sub_plans"] = (
-                [
-                    sub.describe() if sub is not None else None
-                    for sub in sub_plans
-                ]
-                if sub_plans is not None
+            info["sub_plans"] = [
+                view.shards[j].plan_span(a, b).describe()
+                if getattr(view.shards[j], "plan_kind", None) is not None
                 else None
-            )
+                for j, a, b, _ in active
+            ]
         return info
 
     # ------------------------------------------------------------------

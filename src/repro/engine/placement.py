@@ -29,7 +29,7 @@ from difflib import get_close_matches
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.engine.protocol import PlacementPlan, ShardTask
+from repro.engine.protocol import ShardTask
 from repro.substrates.rng import derive_seed, ensure_rng, release_stream
 
 __all__ = [
@@ -122,45 +122,32 @@ def shard_seed(base: int, shard: int) -> int:
 
 
 def plan_fan_out(
-    active: Sequence[Tuple[int, int, int, float]],
-    s: int,
-    base: int,
-    sub_plans: Optional[Sequence[Any]] = None,
-) -> PlacementPlan:
-    """The §4.1 plan for one request over its active-shard table.
+    active: Sequence[Tuple[int, int, int, float]], s: int, base: int
+) -> Tuple[ShardTask, ...]:
+    """The §4.1 shard tasks of one request over its active-shard table.
 
     ``active`` rows are ``(shard, local_lo, local_hi, weight)``. A single
     active shard takes the whole budget without consuming the split
     stream (matching the pre-refactor fast path bit-for-bit); otherwise
     the budget splits multinomially by weight and zero-quota shards are
-    dropped. Every task carries its derived shard seed, so the plan is
-    executable by any backend without further randomness decisions.
-
-    ``sub_plans`` optionally aligns one shard-local
-    :class:`~repro.core.planner.QueryPlan` (or ``None``) with each
-    ``active`` row — the parent's plan-once-ship-everywhere payload.
-    ``plan.plans`` holds one entry per task (``None`` for a shard with
-    no plan): entries for dropped zero-quota shards go with their tasks.
+    dropped. Every task carries its derived shard seed, so the tasks —
+    and therefore the merged output — are a pure function of
+    ``(structure, request seed, K)``, whichever backend runs them and in
+    whatever order they finish.
     """
-    subs = sub_plans if sub_plans is not None else (None,) * len(active)
     if len(active) == 1:
         j, lo, hi, _ = active[0]
-        tasks: Tuple[ShardTask, ...] = (
-            ShardTask(j, lo, hi, s, shard_seed(base, j)),
-        )
-        plans: Tuple[Any, ...] = (subs[0],)
+        tasks: Tuple[ShardTask, ...] = (ShardTask(j, lo, hi, s, shard_seed(base, j)),)
     else:
         counts = split_budget([row[3] for row in active], s, base)
-        kept = [
-            (index, ShardTask(j, lo, hi, quota, shard_seed(base, j)))
-            for index, ((j, lo, hi, _), quota) in enumerate(zip(active, counts))
+        tasks = tuple(
+            ShardTask(j, lo, hi, quota, shard_seed(base, j))
+            for (j, lo, hi, _), quota in zip(active, counts)
             if quota > 0
-        ]
-        tasks = tuple(task for _, task in kept)
-        plans = tuple(subs[index] for index, _ in kept)
+        )
     if obs.ENABLED:
         _PLACEMENT_SHARDS.add(len(tasks))
-    return PlacementPlan(base=base, tasks=tasks, plans=plans)
+    return tasks
 
 
 def merge_indices(

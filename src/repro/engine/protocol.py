@@ -56,7 +56,6 @@ from repro.substrates.rng import ensure_rng, release_stream, spawn_rng
 __all__ = [
     "EngineOp",
     "EngineSampler",
-    "PlacementPlan",
     "QueryRequest",
     "QueryResult",
     "Sampler",
@@ -177,37 +176,6 @@ class ShardTask(NamedTuple):
     hi: int
     quota: int
     seed: int
-
-
-@dataclass(frozen=True)
-class PlacementPlan:
-    """The placement layer's decomposition of one sampling request.
-
-    Produced by :func:`repro.engine.placement.plan_fan_out` from the
-    active-shard table and the request's 64-bit stateless ``base``:
-    the multinomial budget split runs on ``derive_seed(base, 0)`` and
-    each task carries its own derived shard seed, so the plan — and
-    therefore the merged output — is a pure function of
-    ``(structure, request seed, K)`` no matter which execution backend
-    runs the tasks or in which order they finish.
-
-    ``plans`` holds one entry per task: the shard-local
-    :class:`~repro.core.planner.QueryPlan` the parent planned once, so
-    executing the task never recomputes the cover — every runner hands
-    it to :func:`repro.engine.shard.run_shard_task`, the process runner
-    through its :meth:`~repro.core.planner.QueryPlan.portable` form,
-    which the worker rebuilds. ``None`` marks a shard with no plan (a
-    non-planful structure); that task falls back to ``_draw_span``.
-    """
-
-    base: int
-    tasks: Tuple[ShardTask, ...]
-    plans: Tuple[Any, ...]
-
-    @property
-    def shards(self) -> Tuple[int, ...]:
-        """The shard ids this plan touches (quota > 0 only)."""
-        return tuple(task.shard for task in self.tasks)
 
 
 class EngineOp(NamedTuple):

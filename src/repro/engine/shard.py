@@ -20,13 +20,16 @@ spent in a different order.
 ``sample`` / ``sample_indices`` / ``sample_without_replacement`` and the
 engine protocol for free, and ``sample_span``'s span checks; only the
 draw behind them (``_draw_span``) is reimplemented as *plan, fan out,
-merge*. The
-§4.1 arithmetic — the multinomial split on ``derive_seed(base, 0)``,
-the per-shard streams ``derive_seed(base, 1 + j)``, and the
-order-preserving merge — lives in
+merge*. The sharded plan is only the active-shard table: each shard
+plans its own sub-span, through its own plan store, in the process
+that draws from it. A shard's cover is a pure function of the shard and
+its sub-span and consumes no randomness, so where it is computed cannot
+change the output. The §4.1 arithmetic — the multinomial split on
+``derive_seed(base, 0)``, the per-shard streams ``derive_seed(base, 1 +
+j)``, and the order-preserving merge — lives in
 :mod:`repro.engine.placement` as pure functions of one stateless 64-bit
 base drawn from the request's stream; this class only *executes* the
-resulting :class:`~repro.engine.protocol.PlacementPlan`. Who executes
+resulting :class:`~repro.engine.protocol.ShardTask` tuple. Who executes
 it is pluggable: by default the shard sub-draws run inline, and an
 engine can :meth:`bind_runner` any execution backend from
 :mod:`repro.engine.execution` — inline, the engine's threads, or its
@@ -62,39 +65,30 @@ _SHARDS = obs.counter(
 )
 _PLAN_BUILDS = obs.counter(
     "engine.plan_builds",
-    "Sharded fan-out plans built (one cover computation per build)",
+    "Sharded fan-out plans built (one active-shard table per build)",
 )
 _PLAN_REUSE = obs.counter(
     "engine.plan_reuse",
-    "Sharded fan-out plans served from the plan store (no cover work)",
+    "Sharded fan-out plans served from the plan store (no table work)",
 )
 
 
-def run_shard_task(
-    shard: Any, task: ShardTask, plan: Any = None
-) -> Tuple[int, Sequence[int]]:
+def run_shard_task(shard: Any, task: ShardTask) -> Tuple[int, Sequence[int]]:
     """Execute one :class:`~repro.engine.protocol.ShardTask` on ``shard``
     (the structure of shard ``task.shard``).
 
-    The single point where a plan task turns into draws: the shard
-    samples its local span on the task's own stateless stream. Every
-    execution backend — inline, thread pool, resident worker process —
-    funnels through this function, which is what makes the backends
-    byte-identical.
-
-    ``plan`` optionally carries the shard-local
-    :class:`~repro.core.planner.QueryPlan` the parent built (or a worker
-    rebuilt from its hint) — then execution goes straight to the shard's
-    ``execute_plan`` and no cover is recomputed (byte-identical:
-    ``_draw_span`` *is* ``plan_span`` + ``execute_plan``, and planning
-    consumes no randomness). Without one, ``_draw_span`` runs unchecked,
-    since the parent's active-shard table keeps the span inside the
-    shard. The indices come in the draw's own container.
+    The single point where a shard task turns into draws: the shard
+    samples its local span on the task's own stateless stream through
+    its unchecked ``_draw_span`` (the parent's active-shard table keeps
+    the span inside the shard). A planful shard fetches or builds its
+    plan there, in its own store, in the process running this call.
+    Every execution backend — inline, thread pool, resident worker
+    process — funnels through this function, which is what makes the
+    backends byte-identical. The indices come in the draw's own
+    container.
     """
     rng = ensure_rng(task.seed)
     try:
-        if plan is not None:
-            return task.shard, shard.execute_plan(plan, task.quota, rng=rng)
         return task.shard, shard._draw_span(task.lo, task.hi, task.quota, rng)
     finally:
         release_stream(rng)
@@ -305,33 +299,20 @@ class ShardedSampler(RangeSamplerBase):
         with obs.span("engine.shard_fanout", s=s) as fanout_span:
             return self._fan_out(lo, hi, s, rng, fanout_span)
 
-    def _build_plan(self, lo: int, hi: int, hint: Any = None) -> QueryPlan:
-        """Plan once: active-shard table plus each shard's own sub-plan.
+    def _build_plan(self, lo: int, hi: int) -> QueryPlan:
+        """The sharded plan: the active-shard table, as the payload.
 
-        The single cover computation of a sharded request. Each planful
-        shard contributes its shard-local
-        :class:`~repro.core.planner.QueryPlan` for its sub-span, built
-        through the shard's *own* plan scope — so the plan store sees
-        exactly one cover walk per distinct span, parent and shards
-        alike. Unplanful shards (no ``plan_kind``) get ``None`` and fall
-        back to ``sample_span`` at execution.
+        Rows are ``(shard, local_lo, local_hi, weight)``. No shard is
+        planned here: each shard task plans its sub-span where it is
+        drawn (:func:`run_shard_task`).
         """
         active = self._active_shards(lo, hi)
-        sub_plans: List[Any] = []
-        planful = False
-        for j, a, b, _ in active:
-            shard = self.shards[j]
-            if getattr(shard, "plan_kind", None) is not None:
-                sub_plans.append(shard.plan_span(a, b))
-                planful = True
-            else:
-                sub_plans.append(None)
         return QueryPlan(
             self.plan_kind,
             (lo, hi),
             spans=tuple((a, b) for _, a, b, _ in active),
             weights=tuple(weight for _, _, _, weight in active),
-            payload=(active, tuple(sub_plans) if planful else None),
+            payload=active,
         )
 
     def _fan_out(
@@ -357,7 +338,7 @@ class ShardedSampler(RangeSamplerBase):
                 _PLAN_BUILDS.inc()
         elif enabled:
             _PLAN_REUSE.inc()
-        active, sub_plans = plan.payload
+        active = plan.payload
         if enabled:
             _SHARDS.add(len(active))
             if span is not None:
@@ -367,6 +348,6 @@ class ShardedSampler(RangeSamplerBase):
                 f"no keys in index span [{lo}, {hi}) across "
                 f"{self.num_shards} shards"
             )
-        placement_plan = plan_fan_out(active, s, base, sub_plans=sub_plans)
-        partials = self._runner.run_plan(self, placement_plan)
+        tasks = plan_fan_out(active, s, base)
+        partials = self._runner.run_plan(self, tasks)
         return merge_indices(partials, self._bounds)

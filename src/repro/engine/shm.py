@@ -303,6 +303,10 @@ def _attach_range_common(sampler: Any, arrays: Dict[str, Any], meta: Dict[str, A
     from repro.core.planner import plan_scope
 
     sampler.keys = _SharedSeq(arrays["keys"])
+    # The key view is the shared segment itself: ``_SharedSeq`` converts
+    # elements of this same array, so a gather through it gives the
+    # values and types the per-index path gives.
+    sampler._keys_array = arrays["keys"]
     sampler.weights = arrays["tree.leaf_weight"]
     sampler._all_weights_equal = meta["all_weights_equal"]
     sampler._tree = _attach_tree(arrays, meta, arrays["keys"])
@@ -380,6 +384,7 @@ def _attach_chunked(arrays: Dict[str, Any], meta: Dict[str, Any]) -> Any:
 
     sampler = object.__new__(ChunkedRangeSampler)
     sampler.keys = _SharedSeq(arrays["keys"])
+    sampler._keys_array = arrays["keys"]  # the shared key view, as above
     sampler.weights = arrays["weights"]
     sampler._all_weights_equal = meta["all_weights_equal"]
     sampler._rng = ensure_rng(meta["rng_seed"])

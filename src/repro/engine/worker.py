@@ -29,10 +29,11 @@ Token shapes (first element is the kind):
 end of a duplex pipe, receives each build token once, and answers every
 message on the same pipe through :func:`execute`: a chunk of whole
 requests (local × process), or a shard sub-draw — ``(shard, lo, hi,
-quota, seed, trace, portable)``, a few ints — so sharded per-request
-bytes stay O(log n) end to end. A partial crosses the pipe in the
-container its draw made: an ``intp`` array at or above the batch
-cutoff, a list below it (and on the scalar tier).
+quota, seed, trace)``, a few ints — so sharded per-request bytes stay
+O(1) per shard. The resident shard plans its sub-span itself, through
+this process's plan store. A partial crosses the pipe in the container
+its draw made: an ``intp`` array at or above the batch cutoff, a list
+below it (and on the scalar tier).
 
 Every execution error is captured *in the worker* into the result
 envelope, so one bad request cannot take a worker down; only a worker
@@ -197,38 +198,28 @@ def _run_draw(
 
     ``entry`` is ``(shard, lo, hi, quota, seed, trace_id)`` — one
     :class:`~repro.engine.protocol.ShardTask` plus the owning request's
-    trace for harvest tagging — optionally extended with a seventh
-    *portable plan* element, ``(kind, key, hint)`` from
-    :meth:`~repro.core.planner.QueryPlan.portable`. When present (and the
-    resident shard is planful), the worker rebuilds the parent's
-    shard-local plan from the cover hint — skipping the cover search —
-    and hands it to :func:`repro.engine.shard.run_shard_task`, the draw
-    every runner makes; planning consumes no randomness, so the draws
-    stay byte-identical. The entry must target the shard ``token``
-    rebuilds (the parent routes one shard per resident worker). The
-    outcome is ``("ok", local_indices)``, in the draw's own container,
-    or ``("err", exception)``. With ``harvest`` on, the
-    sub-draw lands in the flight recorder tagged with its shard id
-    (``spec`` suffix ``#s<j>``), so per-shard timelines fall out of the
-    normal obs tail.
+    trace for harvest tagging — and runs through
+    :func:`repro.engine.shard.run_shard_task`, the draw every runner
+    makes; a planful shard plans its sub-span there, in this worker's
+    plan store. The entry must target the shard ``token`` rebuilds (the
+    parent routes one shard per resident worker). The outcome is
+    ``("ok", local_indices)``, in the draw's own container, or ``("err",
+    exception)``. With ``harvest`` on, the sub-draw lands in the flight
+    recorder tagged with its shard id (``spec`` suffix ``#s<j>``), so
+    per-shard timelines fall out of the normal obs tail.
     """
     # Imported here, so a local × process worker starts without loading
     # the range structures.
     from repro.engine.shard import run_shard_task
 
-    shard, lo, hi, quota, seed, trace_id = entry[:6]
-    portable = entry[6] if len(entry) > 6 else None
+    shard, lo, hi, quota, seed, trace_id = entry
     trace_token = obs.set_current_trace(trace_id) if harvest else None
     started = time.perf_counter()
     error: Optional[Exception] = None
     try:
         sampler = _resident(key, token)
         with obs.span("worker.shard_draw", s=quota, shard=shard):
-            plan = None
-            if portable is not None and getattr(sampler, "plan_kind", None):
-                plan = sampler.plan_span(lo, hi, portable=portable)
-            task = ShardTask(shard, lo, hi, quota, seed)
-            _, local = run_shard_task(sampler, task, plan)
+            _, local = run_shard_task(sampler, ShardTask(shard, lo, hi, quota, seed))
         outcome: Tuple[str, Any] = ("ok", local)
     except Exception as exc:
         error = _picklable_error(exc)

@@ -2,8 +2,8 @@
 
 Three concerns:
 
-1. **QueryPlan value semantics** — cover/weight accessors, the portable
-   (cross-process) form, and the ``--explain`` description payload.
+1. **QueryPlan value semantics** — cover/weight accessors and the
+   ``--explain`` description payload.
 2. **Store sharing** — one engine-scoped ``PlanStore`` serves many
    samplers, keyed by structure fingerprint, without any cross-talk
    between structures; the LRU bound is a shared budget.
@@ -39,7 +39,6 @@ def _plan(kind="treewalk", key=(3, 9), weights=(2.0, 1.0, 3.0)):
         spans=((3, 5), (5, 6), (6, 9)),
         weights=weights,
         payload=object(),
-        hint=(4, 11, 12),
     )
 
 
@@ -48,15 +47,6 @@ class TestQueryPlan:
         plan = _plan()
         assert plan.cover_size == 3
         assert plan.total_weight == pytest.approx(6.0)
-
-    def test_portable_is_plain_data(self):
-        plan = _plan()
-        kind, key, hint = plan.portable()
-        assert kind == "treewalk"
-        assert key == (3, 9)
-        assert hint == (4, 11, 12)
-        # The payload (live tables) never crosses the boundary.
-        assert plan.payload not in plan.portable()
 
     def test_describe_payload(self):
         info = _plan().describe()

@@ -118,19 +118,17 @@ class TestSplitPrimitives:
         assert len(set(seeds)) == 8
 
     def test_plan_single_active_shard_takes_whole_budget(self):
-        plan = plan_fan_out([(2, 5, 30, 9.0)], 17, self.BASE)
-        assert len(plan.tasks) == 1
-        task = plan.tasks[0]
+        (task,) = plan_fan_out([(2, 5, 30, 9.0)], 17, self.BASE)
         assert (task.shard, task.lo, task.hi, task.quota) == (2, 5, 30, 17)
         assert task.seed == shard_seed(self.BASE, 2)
 
     def test_plan_multi_shard_splits_and_drops_zero_quotas(self):
         active = [(0, 0, 10, 1.0), (1, 0, 10, 1.0), (2, 0, 10, 1e-12)]
-        plan = plan_fan_out(active, 40, self.BASE)
-        assert sum(task.quota for task in plan.tasks) == 40
-        assert all(task.quota > 0 for task in plan.tasks)
+        tasks = plan_fan_out(active, 40, self.BASE)
+        assert sum(task.quota for task in tasks) == 40
+        assert all(task.quota > 0 for task in tasks)
         expected = split_budget([1.0, 1.0, 1e-12], 40, self.BASE)
-        quotas = {task.shard: task.quota for task in plan.tasks}
+        quotas = {task.shard: task.quota for task in tasks}
         assert quotas == {
             j: count for j, count in enumerate(expected) if count > 0
         }

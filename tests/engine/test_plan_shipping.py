@@ -1,16 +1,17 @@
-"""Plan-once-ship-everywhere: the sharded placement's plan layer.
+"""The sharded placement's plan layer: plans stay where they are drawn.
 
-The tentpole promise of the plan → execute split at the engine level:
+The promise of the plan → execute split at the engine level:
 
-* **Exactly one cover computation per request.** A sharded request
-  builds its fan-out plan (active-shard table + one shard-local
-  ``QueryPlan`` per planful shard) once; warm requests over the same
-  span reuse it wholesale. ``engine.plan_builds`` / ``engine.plan_reuse``
+* **One fan-out plan per span.** A sharded request builds its fan-out
+  plan (the active-shard table) once; warm requests over the same span
+  reuse it wholesale. ``engine.plan_builds`` / ``engine.plan_reuse``
   are the proof counters, checked at K ∈ {2, 4, 8}.
-* **Plans ship across the process boundary.** The process runner sends
-  each task's plan in portable form ``(kind, key, hint)`` — O(log n)
-  ints — and the resident worker rebuilds it from the hint *without*
-  redoing the cover search, byte-identically.
+* **Each shard plans where it draws.** A shard task fetches its
+  shard's own plan from the store of the process that draws it: one
+  cover per active shard, never one per request. Under sharded ×
+  process the parent plans no shard at all; a draw message carries a
+  few ints, and the worker's draw is byte-identical to the in-process
+  one.
 * **Planning consumes no randomness**, so explaining or pre-planning a
   request can never perturb a seeded stream.
 """
@@ -22,7 +23,7 @@ import pytest
 from repro import obs
 from repro.core import kernels
 from repro.core.range_sampler import ChunkedRangeSampler
-from repro.engine import QueryRequest, SamplingEngine, demo_build
+from repro.engine import QueryRequest, SamplingEngine, ShardTask, demo_build
 
 SHARD_COUNTS = [2, 4, 8]
 N = 128
@@ -48,10 +49,13 @@ class TestOneCoverComputationPerRequest:
         assert obs.value("engine.plan_builds") == 1
         # ...and every later request reuses it wholesale.
         assert obs.value("engine.plan_reuse") == 5
-        # The shard-local plans were built inside that single fan-out
-        # build: at most one per active shard, never one per request.
-        assert 1 <= obs.value("plan_cache.chunked.misses") <= shards
-        assert obs.value("plan_cache.chunked.hits") == 0
+        # Each shard task fetches its shard's plan with one store lookup:
+        # one cover per active shard, never one per request.
+        misses = obs.value("plan_cache.chunked.misses")
+        assert 1 <= misses <= shards
+        assert obs.value("plan_cache.chunked.hits") + misses == obs.value(
+            "engine.placement_shards"
+        )
         assert obs.value("plan_cache.sharded.misses") == 1
         assert obs.value("plan_cache.sharded.hits") == 5
 
@@ -104,7 +108,21 @@ def test_wor_request_fans_out_per_round_not_per_draw(execution, metrics_on):
         assert 0 < wor_bytes <= 2 * wr_bytes
 
 
-class TestShippedPlanByteIdentity:
+def test_parent_plans_no_shard_under_process():
+    # The parent builds only the fan-out plan; every shard plan lives in
+    # the store of the worker that draws the shard.
+    sampler, template = demo_build("range.chunked", n=N)
+    with SamplingEngine(
+        backend="process", placement="sharded", seed=5, shards=2, max_workers=2
+    ) as engine:
+        results = engine.run(sampler, _requests(template, 6, 40))
+        view = engine._view(sampler)
+    assert all(r.ok for r in results), [r.error for r in results]
+    assert view.plan_cache.misses == 1
+    assert [shard.plan_cache.misses for shard in view.shards] == [0, 0]
+
+
+class TestProcessRunnerByteIdentity:
     @pytest.mark.parametrize("spec", ["range.chunked", "range.treewalk"])
     def test_process_runner_matches_serial(self, spec):
         batches = {}
@@ -120,78 +138,39 @@ class TestShippedPlanByteIdentity:
         assert batches["serial"] == batches["process"]
 
 
-class TestWorkerExecutesShippedPlans:
-    def _token(self, keys, weights):
-        # The runner's fallback shard token: the shard class as a factory.
-        return (
-            "call",
-            "repro.core.range_sampler:ChunkedRangeSampler",
-            (("keys", tuple(keys)), ("rng", 0), ("weights", tuple(weights))),
-        )
-
-    def test_portable_entry_matches_span_path(self):
+class TestWorkerShardDraw:
+    def test_worker_draw_matches_in_process_task(self):
+        from repro.engine.shard import run_shard_task
         from repro.engine.worker import _RESIDENT, execute
 
         keys = [float(i) for i in range(64)]
         weights = [1.0 + (i % 5) for i in range(64)]
-        token = self._token(keys, weights)
-        key = pickle.dumps(token) + b"#plan-shipping-identity"
+        # The runner's fallback shard token: the shard class as a factory.
+        token = (
+            "call",
+            "repro.core.range_sampler:ChunkedRangeSampler",
+            (("keys", tuple(keys)), ("rng", 0), ("weights", tuple(weights))),
+        )
+        key = pickle.dumps(token) + b"#shard-draw-identity"
         parent = ChunkedRangeSampler(list(keys), weights=list(weights), rng=0)
         # Quota 5 returns a list; 40 clears the batch cutoff and returns
         # an intp array on the numpy tier. [3, 9) is a partial head and a
         # partial tail chunk: at quota 20 each part draws fewer than the
         # cutoff, and their join is still an array.
-        for lo, hi, quota in ((3, 57, 5), (3, 57, 40), (3, 9, 20)):
-            portable = parent.plan_span(lo, hi).portable()
-            try:
-                _, plain_out, _ = execute(
+        try:
+            for lo, hi, quota in ((3, 57, 5), (3, 57, 40), (3, 9, 20)):
+                _, outcomes, _ = execute(
                     key, token, "shard", [(0, lo, hi, quota, 1234, None)]
                 )
-                _RESIDENT.pop(key, None)  # fresh resident for the shipped leg
-                _, shipped_out, _ = execute(
-                    key, token, "shard", [(0, lo, hi, quota, 1234, None, portable)]
-                )
-            finally:
-                _RESIDENT.pop(key, None)
-            (plain_status, plain), = plain_out
-            (shipped_status, shipped), = shipped_out
-            assert plain_status == shipped_status == "ok", plain
-            assert isinstance(plain, list) != kernels.use_batch(quota)
-            assert list(shipped) == list(plain)
-            assert len(plain) == quota
-
-    def test_cover_hint_skips_the_cover_search(self):
-        from repro.engine.worker import _RESIDENT, execute
-
-        keys = [float(i) for i in range(64)]
-        weights = [1.0] * 64
-        token = self._token(keys, weights)
-        key = pickle.dumps(token) + b"#plan-shipping-hint"
-        parent = ChunkedRangeSampler(list(keys), weights=list(weights), rng=0)
-        try:
-            # Make the shard resident, then poison its cover search: a
-            # shipped hint must not need it.
-            execute(key, token, "shard", [(0, 1, 9, 2, 7, None)])
-            resident = _RESIDENT[key]
-
-            def boom(lo, hi):
-                raise AssertionError(
-                    "cover search ran despite a shipped plan hint"
-                )
-
-            resident.query_split = boom
-            portable = parent.plan_span(5, 61).portable()
-            _, outcomes, _ = execute(
-                key, token, "shard", [(0, 5, 61, 3, 99, None, portable)]
-            )
-            assert outcomes[0][0] == "ok", outcomes[0][1]
-            # Without the hint, the same uncached span needs the search
-            # — proving the poison was live and the hint really skipped
-            # it.
-            _, outcomes, _ = execute(
-                key, token, "shard", [(0, 5, 62, 3, 99, None)]
-            )
-            assert outcomes[0][0] == "err"
+                (status, drawn), = outcomes
+                assert status == "ok", drawn
+                shard, local = run_shard_task(parent, ShardTask(0, lo, hi, quota, 1234))
+                assert shard == 0
+                assert isinstance(local, list) != kernels.use_batch(quota)
+                assert type(drawn) is type(local)
+                assert getattr(drawn, "dtype", None) == getattr(local, "dtype", None)
+                assert list(drawn) == list(local)
+                assert len(local) == quota
         finally:
             _RESIDENT.pop(key, None)
 
@@ -219,12 +198,13 @@ class TestEngineExplain:
         assert cold["cover_spans"] >= 1
         assert "budget_split" not in cold
 
+    @pytest.mark.parametrize("execution", ["serial", "process"])
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_explain_sharded_budget_split(self, shards):
+    def test_explain_sharded_budget_split(self, shards, execution):
         sampler, template = demo_build("range.chunked", n=N)
         request = QueryRequest(op=template.op, args=template.args, s=40)
         with SamplingEngine(
-            backend="serial", placement="sharded", seed=3, shards=shards
+            backend=execution, placement="sharded", seed=3, shards=shards
         ) as engine:
             info = engine.explain(sampler, request)
         split = info["budget_split"]
@@ -232,9 +212,8 @@ class TestEngineExplain:
         assert sum(row["expected_quota"] for row in split) == pytest.approx(
             40.0
         )
-        assert info["sub_plans"] is not None
-        assert all(sub is not None for sub in info["sub_plans"])
         assert len(info["sub_plans"]) == len(split)
+        assert all(sub["kind"] == "chunked" for sub in info["sub_plans"])
 
     def test_explain_rejects_unplanful_structures(self):
         sampler, template = demo_build("setunion")

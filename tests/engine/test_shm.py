@@ -12,6 +12,7 @@ The contract under test (repro.engine.shm + SamplingEngine.share):
 * attach-by-name works under both ``fork`` and ``spawn`` start methods.
 """
 
+import gc
 import pickle
 from array import array
 from multiprocessing.shared_memory import SharedMemory
@@ -119,6 +120,20 @@ class TestRoundTrip:
         assert result.error is None
         assert {type(v) for v in result.values} == {int}
         json.dumps(result.values)
+
+    @pytest.mark.parametrize(
+        "cls", [TreeWalkRangeSampler, AliasAugmentedRangeSampler, ChunkedRangeSampler]
+    )
+    def test_key_view_is_the_shared_key_segment(self, cls):
+        # The gather that materializes keys reads the shared segment; no
+        # attach makes a private copy of the keys.
+        keys, weights = make_keys_weights(500)
+        manifest, segments = shm.export_sampler(cls(keys, weights, rng=3))
+        try:
+            attached = shm.attach_sampler(manifest)
+            assert np.shares_memory(attached._key_view(), attached.keys._arr)
+        finally:
+            shm.unlink_segments(segments)
 
     def test_token_is_small_and_picklable(self):
         keys, weights = make_keys_weights()
@@ -290,6 +305,29 @@ class TestLifecycle:
         engine.close()
         engine.close()
         assert_unlinked(token[1])
+
+    @pytest.mark.parametrize("mp_context", ["fork", "spawn"])
+    def test_dropped_engine_unlinks_segments(self, mp_context):
+        # An engine dropped without close() still unlinks every segment
+        # its sharded × process view exported, as soon as it is freed.
+        keys, weights = make_keys_weights(500)
+        sampler = ChunkedRangeSampler(keys, weights, rng=3)
+        engine = SamplingEngine(
+            placement="sharded", backend="process", seed=7, shards=2,
+            max_workers=2, mp_context=mp_context,
+        )
+        results = engine.run(sampler, range_requests(keys, count=2))
+        assert all(r.ok for r in results), [r.error for r in results]
+        names = [seg.name for seg in engine._shm_segments]
+        assert names
+        gc.disable()
+        try:
+            del engine
+        finally:
+            gc.enable()
+        for name in names:
+            with pytest.raises(FileNotFoundError):
+                SharedMemory(name=name)
 
     def test_no_leak_after_worker_crash(self):
         # A worker hard-dying must not leave segments behind: the parent
