@@ -182,16 +182,15 @@ def _engine_run(
         if composed_process:
             if shm:
                 print(
-                    "error: --shm is implicit under --placement sharded "
-                    "--backend process (each shard is exported once and "
-                    "attached by its resident worker)",
+                    "error: --shm applies to the local process backend only; "
+                    "under --placement sharded --backend process each "
+                    "worker builds its own shard from a recipe sent once",
                     file=sys.stderr,
                 )
                 return 2
-            # The composed shard-per-process backend: the engine shards
-            # the structure, exports each shard into shared memory (or a
-            # call token that rebuilds it) once, and ships sub-draw
-            # tasks of a few ints each.
+            # The composed shard-per-process backend: the engine sends
+            # each worker its shard's recipe once (the worker builds the
+            # shard) and ships sub-draw tasks of a few ints each.
             run_once = lambda: engine.run(sampler, batch)  # noqa: E731
         elif backend == "process":
             if shm:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import Dict, Hashable, List, Optional, Sequence, TypeVar
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro import obs
 from repro.core import kernels
@@ -142,6 +142,9 @@ class SetUnionSampler(EngineSampler):
         self._m_cap = max(1, math.ceil(self._cap_constant * math.log2(n)))
         self._sketch_threshold = max(1.0, math.log2(n))
         self._salt = rng.getrandbits(63)
+        # Û_G per queried group, for this permutation epoch: the merge
+        # reads only the sketches, which change only here.
+        self._estimates: Dict[Tuple[int, ...], float] = {}
         self._sketches: List[Optional[KMVSketch]] = []
         for subset in self._family:
             if len(subset) >= self._sketch_threshold:
@@ -181,7 +184,22 @@ class SetUnionSampler(EngineSampler):
         return self._m_cap
 
     def union_size_estimate(self, group: Sequence[int]) -> float:
-        """``Û_G`` from merged sketches, without reading the large sets."""
+        """``Û_G`` from merged sketches, without reading the large sets.
+
+        Merged once per group and permutation epoch (a rebuild draws new
+        sketch salts); the memo holds at most ``n`` groups. It consumes
+        no randomness, so the memo cannot change any draw.
+        """
+        key = tuple(group)
+        estimate = self._estimates.get(key)
+        if estimate is None:
+            estimate = self._merge_sketches(key)
+            if len(self._estimates) >= self._total_size:
+                self._estimates.clear()
+            self._estimates[key] = estimate
+        return estimate
+
+    def _merge_sketches(self, group: Sequence[int]) -> float:
         merged: Optional[KMVSketch] = None
         for set_index in group:
             sketch = self._sketches[set_index]

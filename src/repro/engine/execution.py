@@ -17,7 +17,8 @@ where work executes:
   97–98 at s = 16.
 * :class:`ProcessShardRunner` — shard tasks on the engine's worker
   processes, one shard resident per process, so per-request traffic is
-  one draw tuple of six plain values per shard; each worker plans its
+  one draw tuple of six plain values per shard. Each worker builds its
+  shard from the view's recipe (the parent builds none) and plans the
   shard's sub-spans in its own plan store.
 * :class:`Residents` — those worker processes: the one process runtime
   behind both process cells. Local × process sends it chunks of whole
@@ -236,10 +237,11 @@ class Residents:
         sent: List[_Resident] = []
         received = 0
         try:
-            for _, _, (slot, key, kind, items), _ in entries:
-                # Started here, after earlier messages went out, so a new
-                # process's start overlaps their work.
-                resident = self._live(slot)
+            # Missing processes all start before the first send: a send
+            # of a large token (a shard's recipe) waits until its process
+            # reads it, so the start-ups overlap instead of queueing.
+            residents = [self._live(entry[2][0]) for entry in entries]
+            for resident, (_, _, (_, key, kind, items), _) in zip(residents, entries):
                 sent.append(resident)
                 size = resident.post(key, kind, items, enabled)
                 if enabled:
@@ -307,12 +309,14 @@ class ProcessShardRunner:
     """Shard tasks on the engine's worker processes (:class:`Residents`).
 
     Shard ``j`` always goes to slot ``j % min(K, max_workers)``, so each
-    shard is rebuilt (or shm-attached) by exactly one process no matter
-    how many requests run. Its token is exported once per view — shared
-    memory (:meth:`SamplingEngine.share`) when the structure has an
-    exporter, a ``("call", ...)`` rebuild from its keys and weights
-    otherwise — and each request sends only its draw tuples. A draw
-    whose process dies twice fails the request with a
+    shard is built by exactly one process no matter how many requests
+    run. Its recipe reaches that process once, as a ``("call",
+    "module:Class", params)`` token carrying the shard's key and weight
+    slice (:meth:`~repro.engine.shard._Shards.token`), and the process
+    builds the shard it draws from; the parent builds none. Each request
+    then sends only its draw tuples. A process that replaces a dead one
+    rebuilds the shard from the same token. A draw whose process dies
+    twice fails the request with a
     :class:`~repro.errors.WorkerCrashedError` naming the shard.
     """
 
@@ -325,34 +329,18 @@ class ProcessShardRunner:
         self._keys: List[Optional[bytes]] = [None] * len(self._shards)
 
     def _key_for(self, shard: int) -> bytes:
-        """Shard ``shard``'s pickled build token (exported once)."""
+        """Shard ``shard``'s pickled build token (made once)."""
         key = self._keys[shard]
         if key is None:
-            from repro.engine.shm import ShmShareError
-
-            structure = self._shards[shard]
-            try:
-                token = self._engine.share(structure)
-            except ShmShareError:
-                cls = type(structure)
-                # Builds consume no randomness and every shard draw brings
-                # its own rng, so a fixed rng=0 keeps the rebuilt shard
-                # byte-identical to the parent's copy.
-                params = (
-                    ("keys", tuple(structure.keys)),
-                    ("rng", 0),
-                    ("weights", tuple(structure.weights)),
-                )
-                token = ("call", f"{cls.__module__}:{cls.__qualname__}", params)
-            key = self._keys[shard] = pickle.dumps(token)
+            key = self._keys[shard] = pickle.dumps(self._shards.token(shard))
         return key
 
     def run_plan(self, sharded: Any, tasks: Sequence[ShardTask]) -> Partials:
         trace = obs.current_trace() if obs.ENABLED else None
         # One message per task: its shard's slot, token key and one draw
-        # tuple of a few ints. The key is exported here, before the run
-        # starts any process, so the export's writes do not fault on
-        # pages a new process shares copy-on-write.
+        # tuple of a few ints. The key is pickled here, before the run
+        # starts any process, so its writes do not fault on pages a new
+        # process shares copy-on-write.
         messages: List[Task] = [
             (
                 task.shard % self._slots,

@@ -22,16 +22,19 @@ list of :class:`~repro.engine.protocol.QueryResult`:
   :class:`~concurrent.futures.ThreadPoolExecutor`, started by the first
   run, reused by every later one and released by :meth:`close` — on
   2 cores it runs the ``cold-bulk`` benchmark workload (Lemma 2,
-  4 × s=4096 per call) no faster than serial, because most of each
-  request holds the GIL; the sharded placement's
+  4 × s=4096 per call) slower than serial: one 1,000-call round with
+  seed 7 read 2,983–3,032 ops/s against 4,536–4,745 for serial over
+  three runs on a 2-core x86_64 VM, because most of each request holds
+  the GIL; the sharded placement's
   shard draws fan out over the same pool; ``"process"`` over the
   engine's worker processes, :class:`~repro.engine.execution.Residents`
   — for CPU-bound scalar samplers the GIL serializes). Under the local
   placement the process backend executes whole requests against
   worker-resident rebuilds from picklable build tokens; under the
-  sharded placement it keeps **one shard resident per worker**,
-  shipped once via shared memory, with per-request traffic a few ints
-  per shard. docs/ARCHITECTURE.md has the placement × execution matrix.
+  sharded placement it keeps **one shard resident per worker**: each
+  worker builds its shard from the recipe it is sent once, the parent
+  builds none, and per-request traffic is a few ints per shard.
+  docs/ARCHITECTURE.md has the placement × execution matrix.
   A sampler whose queries mutate its state (``engine_thread_safe =
   False``) runs a thread-backend batch in submission order, so its
   outputs match the serial backend's.
@@ -42,7 +45,7 @@ list of :class:`~repro.engine.protocol.QueryResult`:
 * **Zero-copy structure sharing.** :meth:`SamplingEngine.share` exports
   a built structure's arrays into shared memory
   (:mod:`repro.engine.shm`) and returns an ``("shm", manifest)`` token:
-  process-backend workers attach read-only instead of rebuilding, and
+  local × process workers attach read-only instead of rebuilding, and
   :meth:`SamplingEngine.close` unlinks the segments.
 * **Observability.** ``engine.batches`` / ``engine.requests`` /
   ``engine.request_errors`` / ``engine.worker_rebuilds`` /
@@ -316,9 +319,10 @@ class SamplingEngine:
         Legal for every placement × execution combination except
         local × process (whole requests cannot ship an already-built
         structure to a worker; use :meth:`run_spec` / :meth:`run_token`
-        there). Under sharded × process the structure stays local and
-        only shard sub-draws cross the process boundary, so built
-        samplers are fine.
+        there). Under sharded × process only each shard's recipe (its
+        class, keys and weights, once per worker) and the shard
+        sub-draws cross the process boundary, so built samplers are
+        fine.
         """
         if self.placement == "local" and self.execution == "process":
             raise ValueError(
@@ -383,10 +387,13 @@ class SamplingEngine:
         sharded plans — the deterministic expected budget split
         ``s · w_j / W`` per shard plus each active shard's own plan
         (``"sub_plans"``; ``None`` for a shard with no plan layer),
-        planned here on demand through the shard's store. Planning
-        consumes no randomness, so explaining a request leaves every
-        seeded stream untouched (the plan stores do warm up, exactly as
-        the request's own shard draws would warm them in this process).
+        planned here on demand through the shard's store. Under
+        sharded × process that builds each active shard in this process
+        first (the workers build their own, and draws never use this
+        copy). Planning and building consume no randomness, so
+        explaining a request leaves every seeded stream untouched (the
+        plan stores do warm up, exactly as the request's own shard draws
+        would warm them in this process).
 
         Raises :class:`TypeError` for structures with no planning
         surface and :class:`NotImplementedError` for range samplers
@@ -460,10 +467,13 @@ class SamplingEngine:
         itself under the local placement; under the sharded placement a
         caller's own :class:`~repro.engine.shard.ShardedSampler` as
         given, else this engine's view of it, bound to the runner for
-        its execution backend. Views are memoized on the engine, not the
-        sampler, so a sampler shared across engines never runs on
-        another engine's workers, and :meth:`close` drops every view
-        with the shared-memory tokens its runner exported."""
+        its execution backend. The view is a planning skeleton over the
+        sampler's own keys and weights: the serial and thread runners
+        draw on shards built here, while the process runner sends each
+        worker the recipes of its shards and the parent builds none.
+        Views are memoized on the engine, not the sampler, so a sampler
+        shared across engines never runs on another engine's workers,
+        and :meth:`close` drops every view."""
         if self.placement == "local":
             return sampler
         memo = self._views.get(id(sampler))
@@ -474,6 +484,8 @@ class SamplingEngine:
         if isinstance(sampler, ShardedSampler):
             return sampler
         view = ShardedSampler.from_sampler(sampler, self.shards)
+        if self.execution != "process":
+            view.build_shards()
         view.bind_runner(make_shard_runner(self, view))
         self._views[id(sampler)] = (sampler, view)
         return view

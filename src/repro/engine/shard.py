@@ -24,7 +24,13 @@ merge*. The sharded plan is only the active-shard table: each shard
 plans its own sub-span, through its own plan store, in the process
 that draws from it. A shard's cover is a pure function of the shard and
 its sub-span and consumes no randomness, so where it is computed cannot
-change the output. The §4.1 arithmetic — the multinomial split on
+change the output. The same holds one level down for the shards
+themselves: a build consumes no randomness either, so a view made by
+:meth:`ShardedSampler.from_sampler` is a planning skeleton — the
+sampler's own keys and weights, the prefix sums and one recipe per shard
+— and each shard is built from its recipe where it is first read. A
+sharded × process engine's parent builds none: each worker builds the
+shard it draws from. The §4.1 arithmetic — the multinomial split on
 ``derive_seed(base, 0)``, the per-shard streams ``derive_seed(base, 1 +
 j)``, and the order-preserving merge — lives in
 :mod:`repro.engine.placement` as pure functions of one stateless 64-bit
@@ -104,15 +110,81 @@ def shard_bounds(n: int, num_shards: int) -> List[int]:
     return [(j * n) // num_shards for j in range(num_shards + 1)]
 
 
+class _Shards:
+    """A sharded view's shards, each built from its recipe when first read.
+
+    Shard ``j``'s recipe is the shard class over the view's key and
+    weight slice ``[bounds[j], bounds[j + 1])``, plus the stream the view
+    spawned for it. Building consumes no randomness, so where and when a
+    shard is built cannot change a draw: ``shards[j]`` builds shard ``j``
+    in the process that reads it, and :meth:`token` hands the recipe to a
+    worker process that builds its own copy. The object refers to the
+    view's lists, never to the view, so a runner may hold it.
+    """
+
+    __slots__ = ("cls", "bounds", "_keys", "_weights", "_rngs", "_built")
+
+    def __init__(
+        self,
+        cls: type,
+        keys: Sequence[float],
+        weights: Sequence[float],
+        bounds: List[int],
+        rngs: Sequence[Any],
+        built: Optional[Sequence[Any]] = None,
+    ):
+        self.cls = cls
+        self.bounds = bounds
+        self._keys = keys
+        self._weights = weights
+        self._rngs = rngs
+        self._built: List[Any] = (
+            list(built) if built is not None else [None] * (len(bounds) - 1)
+        )
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, j: int) -> Any:
+        shard = self._built[j]
+        if shard is None:
+            j %= len(self._built)
+            a, b = self.bounds[j], self.bounds[j + 1]
+            shard = self._built[j] = self.cls(
+                self._keys[a:b], weights=self._weights[a:b], rng=self._rngs[j]
+            )
+        return shard
+
+    def __iter__(self) -> Any:
+        return (self[j] for j in range(len(self._built)))
+
+    def token(self, j: int) -> Tuple[Any, ...]:
+        """Shard ``j``'s recipe as a worker build token: ``("call",
+        "module:Class", params)`` with its keys, its weights and
+        ``rng=0``. Every shard draw brings its own stream, so the fixed
+        ``rng`` keeps the worker's build byte-identical to this
+        process's."""
+        built = self._built[j]
+        cls = self.cls if built is None else type(built)
+        a, b = self.bounds[j], self.bounds[j + 1]
+        params = (
+            ("keys", tuple(self._keys[a:b])),
+            ("rng", 0),
+            ("weights", tuple(self._weights[a:b])),
+        )
+        return ("call", f"{cls.__module__}:{cls.__qualname__}", params)
+
+
 class ShardedSampler(RangeSamplerBase):
     """K contiguous key-space shards behind one range-sampler facade.
 
-    Construct through :meth:`from_sampler` (slice an existing structure)
-    or :meth:`from_params` (build shards directly from ``keys`` and
-    ``weights``). The wrapper keeps the full sorted key and weight
-    arrays (for ``span_of`` and the inherited WoR paths) plus a
-    prefix-sum array so each shard's weight inside a query span costs
-    two array reads.
+    Construct through :meth:`from_sampler` (a planning skeleton over an
+    existing structure) or :meth:`from_params` (build shards directly
+    from ``keys`` and ``weights``). The wrapper keeps the full sorted key
+    and weight arrays (for ``span_of`` and the inherited WoR paths) plus
+    a prefix-sum array so each shard's weight inside a query span costs
+    two array reads. ``shards[j]`` is shard ``j``'s structure, built on
+    first read when the view was made by :meth:`from_sampler`.
     """
 
     plan_kind = "sharded"
@@ -133,11 +205,24 @@ class ShardedSampler(RangeSamplerBase):
             raise ValueError(
                 f"shard sizes {sizes} do not partition {len(self.keys)} keys"
             )
-        self.shards: List[Any] = list(shards)
         bounds = [0]
         for size in sizes:
             bounds.append(bounds[-1] + size)
-        self._bounds: List[int] = bounds
+        self._assemble(
+            _Shards(
+                type(shards[0]), self.keys, self.weights, bounds,
+                [None] * len(sizes), built=shards,
+            ),
+            ensure_rng(rng),
+            plan_cache_size,
+        )
+
+    def _assemble(
+        self, shards: _Shards, rng: Any, plan_cache_size: Optional[int] = None
+    ) -> None:
+        """Everything a view keeps beside its keys and weights."""
+        self.shards = shards
+        self._bounds: List[int] = shards.bounds
         if kernels.use_batch_build(len(self.weights)):
             np = kernels.np
             prefix_arr = np.empty(len(self.weights) + 1, dtype=np.float64)
@@ -151,7 +236,7 @@ class ShardedSampler(RangeSamplerBase):
                 acc += weight
                 prefix.append(acc)
         self._prefix: List[float] = prefix
-        self._rng = ensure_rng(rng)
+        self._rng = rng
         self._runner: Any = SerialShardRunner()
         self.plan_cache = plan_scope(self.plan_kind, plan_cache_size)
 
@@ -169,12 +254,20 @@ class ShardedSampler(RangeSamplerBase):
         num_shards: int,
         rng: RNGLike = None,
     ) -> "ShardedSampler":
-        """Partition ``sampler``'s key space into ``num_shards`` shards.
+        """A planning skeleton that partitions ``sampler``'s key space
+        into ``num_shards`` shards.
 
         Each shard is a fresh instance of the *same* structure class over
         its contiguous key slice, so the per-shard query cost keeps the
-        structure's own bounds on ``n/K`` keys. ``num_shards`` is clamped
-        to the key count (every shard stays non-empty).
+        structure's own bounds on ``n/K`` keys; it is built when
+        ``shards[j]`` is first read (a draw on an in-process runner,
+        :meth:`space_words`, ``explain``) or :meth:`build_shards` runs,
+        and never when a worker process draws it. The view shares
+        ``sampler``'s keys and weights, which its constructor validated,
+        and spawns the shard streams from ``rng`` as :meth:`from_params`
+        does, so its own stream is the same whether or not any shard is
+        built. ``num_shards`` is clamped to the key count (every shard
+        stays non-empty).
         """
         if isinstance(sampler, cls):
             return sampler
@@ -188,13 +281,11 @@ class ShardedSampler(RangeSamplerBase):
             raise TypeError(f"num_shards must be an int, got {num_shards!r}")
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        return cls.from_params(
-            type(sampler),
-            list(sampler.keys),
-            list(sampler.weights),
-            num_shards,
-            rng=rng,
-        )
+        view = cls.__new__(cls)
+        view.keys, view.weights = sampler.keys, sampler.weights
+        view._all_weights_equal = sampler._all_weights_equal
+        view._plan_shards(type(sampler), num_shards, rng)
+        return view
 
     @classmethod
     def from_params(
@@ -205,21 +296,31 @@ class ShardedSampler(RangeSamplerBase):
         num_shards: int,
         rng: RNGLike = None,
     ) -> "ShardedSampler":
-        """Build ``num_shards`` instances of ``shard_cls`` over key slices."""
-        n = len(keys)
+        """Build ``num_shards`` instances of ``shard_cls`` over key slices
+        (``keys`` and ``weights`` are validated as any range sampler's)."""
+        view = cls.__new__(cls)
+        RangeSamplerBase.__init__(view, keys, weights)
+        view._plan_shards(shard_cls, num_shards, rng)
+        view.build_shards()
+        return view
+
+    def _plan_shards(self, shard_cls: type, num_shards: int, rng: RNGLike) -> None:
+        """One recipe of ``shard_cls`` per shard of this view's keys
+        (``num_shards`` clamped to the key count), each with its stream
+        spawned from ``rng`` in shard order; builds nothing."""
+        n = len(self.keys)
         count = max(1, min(num_shards, n))
-        bounds = shard_bounds(n, count)
         base_rng = ensure_rng(rng)
-        weight_list = list(weights) if weights is not None else [1.0] * n
-        shards = [
-            shard_cls(
-                list(keys[bounds[j]:bounds[j + 1]]),
-                weights=weight_list[bounds[j]:bounds[j + 1]],
-                rng=spawn_rng(base_rng, salt=j),
-            )
-            for j in range(count)
-        ]
-        return cls(shards, keys, weights=weight_list, rng=base_rng)
+        rngs = [spawn_rng(base_rng, salt=j) for j in range(count)]
+        self._assemble(
+            _Shards(shard_cls, self.keys, self.weights, shard_bounds(n, count), rngs),
+            base_rng,
+        )
+
+    def build_shards(self) -> None:
+        """Build every shard not built yet, in this process."""
+        for _ in self.shards:  # reading a shard builds it
+            pass
 
     # -- introspection -----------------------------------------------------
 
@@ -228,16 +329,18 @@ class ShardedSampler(RangeSamplerBase):
         return len(self.shards)
 
     def shard_sizes(self) -> List[int]:
-        return [len(shard) for shard in self.shards]
+        bounds = self._bounds
+        return [bounds[j + 1] - bounds[j] for j in range(self.num_shards)]
 
     def describe(self) -> Dict[str, Any]:
         info = super().describe()
         info["shards"] = self.num_shards
-        info["shard_type"] = type(self.shards[0]).__name__
+        info["shard_type"] = self.shards.cls.__name__
         return info
 
     def space_words(self) -> int:
-        # Wrapper arrays (keys + weights + prefix) on top of the shards.
+        # Wrapper arrays (keys + weights + prefix) on top of the shards,
+        # each built here if it was not yet.
         return 3 * len(self.keys) + sum(
             shard.space_words() for shard in self.shards
         )
@@ -261,7 +364,7 @@ class ShardedSampler(RangeSamplerBase):
         """``(shard, local_lo, local_hi, weight)`` for intersecting shards."""
         active = []
         bounds = self._bounds
-        for j in range(len(self.shards)):
+        for j in range(len(bounds) - 1):
             a = max(lo, bounds[j])
             b = min(hi, bounds[j + 1])
             if a >= b:

@@ -16,13 +16,15 @@ Token shapes (first element is the kind):
 * ``("demo", spec, n)`` — ``demo_build(spec, n=n)``, the synthesized CLI
   workload.
 * ``("call", "module:attr", params_items)`` — an arbitrary importable
-  factory (test fault injection, custom builders), and the fallback for
-  a key-space shard with no shm exporter: its class, called with its
-  ``keys``, ``weights`` and ``rng=0``.
+  factory (test fault injection, custom builders), and the recipe every
+  key-space shard of a sharded × process engine arrives as: its class,
+  called with its ``keys``, ``weights`` and ``rng=0``. The worker builds
+  the shard it draws from; the parent never builds it.
 * ``("shm", manifest)`` — attach a structure the parent exported into
   shared memory (:mod:`repro.engine.shm`, via
-  :meth:`SamplingEngine.share`). The "rebuild" is an mmap attach: no
-  structure arrays cross the process boundary and no O(n) build runs.
+  :meth:`SamplingEngine.share`, under local × process). The "rebuild" is
+  an mmap attach: no structure arrays cross the process boundary and no
+  O(n) build runs.
 
 :func:`serve` is the main loop of one engine worker process
 (:class:`repro.engine.execution.Residents`). It reads messages from its
@@ -30,8 +32,9 @@ end of a duplex pipe, receives each build token once, and answers every
 message on the same pipe through :func:`execute`: a chunk of whole
 requests (local × process), or a shard sub-draw — ``(shard, lo, hi,
 quota, seed, trace)``, a few ints — so sharded per-request bytes stay
-O(1) per shard. The resident shard plans its sub-span itself, through
-this process's plan store. A partial crosses the pipe in the container
+O(1) per shard. The resident shard is built here from its ``"call"``
+recipe and plans its sub-span itself, through this process's plan
+store. A partial crosses the pipe in the container
 its draw made: an ``intp`` array at or above the batch cutoff, a list
 below it (and on the scalar tier).
 

@@ -55,7 +55,9 @@ class StaticBST:
     Parameters
     ----------
     keys:
-        Strictly increasing sequence of key values.
+        Strictly increasing sequence of key values. A list is kept as
+        given, not copied (a range sampler's tree shares its owner's
+        key list); any other sequence is copied into one.
     weights:
         Optional positive weight per key (defaults to 1.0 each). Node
         weights ``w(u)`` aggregate leaf weights bottom-up as in §3.2.
@@ -101,7 +103,7 @@ class StaticBST:
         if len(weights) != len(keys):
             raise BuildError(f"got {len(keys)} keys but {len(weights)} weights")
 
-        self.keys: List[float] = list(keys)
+        self.keys: List[float] = keys if isinstance(keys, list) else list(keys)
         leaf_weight = validate_weights(weights, context="StaticBST")
 
         # Iterative level-order (BFS) construction: node ids are assigned

@@ -50,6 +50,18 @@ class TestEstimates:
         with pytest.raises(EmptyQueryError):
             sampler.union_size_estimate([])
 
+    def test_estimate_is_merged_again_after_a_rebuild(self):
+        # Û_G is merged once per permutation epoch: a rebuild draws a new
+        # sketch salt, so the next estimate comes from the new sketches.
+        family = overlapping_sets(20, 200, 1000, rng=2)
+        sampler = SetUnionSampler(family, rng=3)
+        group = [0, 3, 7, 11, 19]
+        before = sampler.union_size_estimate(group)
+        assert sampler.union_size_estimate(group) == before
+        sampler.rebuild()
+        after = sampler.union_size_estimate(group)
+        assert after == sampler._merge_sketches(group) != before
+
 
 class TestSampling:
     def test_sample_belongs_to_union(self):

@@ -22,6 +22,7 @@ carries a stateless derived seed. A shard-resident worker that keeps
 dying must fail only the requests touching its shard.
 """
 
+import pickle
 import random
 
 import pytest
@@ -227,10 +228,10 @@ class TestComposedPlacementTier:
         assert [r.values for r in proc] == [r.values for r in inline]
 
     def test_composed_process_ships_tokens_not_structures(self, metrics_on):
-        # The shard residents attach shm segments (or rebuild once from a
-        # call token). Each resident receives each of its shards'
-        # pickled tokens once; per-request traffic is then the draw
-        # message alone — a few ints per shard, O(log n) bytes.
+        # Each resident receives each of its shards' recipes once — the
+        # shard's class with its key and weight slice — and builds the
+        # shard itself; no shared-memory segment is made. Per-request
+        # traffic is then the draw message alone, a few ints per shard.
         n = 20_000
         keys = [float(i) for i in range(n)]
         weights = [1.0 + (i % 9) for i in range(n)]
@@ -252,11 +253,21 @@ class TestComposedPlacementTier:
             results = engine.run(sampler, requests())
             first = metrics_on.value("engine.serialized_bytes")
             results += engine.run(sampler, requests())
-            shared_bytes = sum(seg.size for seg in engine._shm_segments)
+            segments = list(engine._shm_segments)
+            received = [sorted(r.tokens) for r in engine._workers._residents]
             (_, view), = engine._views.values()
-            token_bytes = sum(len(key) for key in view._runner._keys)
+            recipes = view._runner._keys
         assert all(r.ok for r in results)
-        assert shared_bytes > 500_000  # the structure itself is ~MBs…
+        assert segments == []
+        # Shard j's recipe reached slot j % 2, once.
+        assert received == [
+            sorted([recipes[0], recipes[2]]), sorted([recipes[1], recipes[3]])
+        ]
+        bounds = view._bounds
+        for j, recipe in enumerate(recipes):
+            a, b = bounds[j], bounds[j + 1]
+            slices = len(pickle.dumps((tuple(keys[a:b]), tuple(weights[a:b]))))
+            assert slices < len(recipe) < slices + 200
         counters = metrics_on.snapshot()["counters"]
         # One task per shard with a non-zero quota: each request's split
         # runs on the base its stream draws first (§4.1).
@@ -272,8 +283,8 @@ class TestComposedPlacementTier:
             for seed in seeds
         )
         assert counters["engine.placement_shards"] == 2 * tasks
-        # …but the tokens crossed once, at most a few KB each…
-        assert 0 < token_bytes < 4 * 2_000
+        # The recipes crossed once, in the first batch…
+        token_bytes = sum(len(recipe) for recipe in recipes)
         messages = counters["engine.serialized_bytes"] - first
         assert token_bytes < first < token_bytes + messages + 4 * 100
         # …and the second batch shipped draw messages only.

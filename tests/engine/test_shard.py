@@ -106,6 +106,16 @@ class TestPartitioning:
         assert info["shards"] == 4
         assert info["shard_type"] == "ChunkedRangeSampler"
 
+    def test_skeleton_shares_the_sampler_lists_and_builds_no_shard(self):
+        sampler = make_sampler()
+        view = ShardedSampler.from_sampler(sampler, 4)
+        assert view.keys is sampler.keys and view.weights is sampler.weights
+        assert view.describe()["shard_type"] == "ChunkedRangeSampler"
+        assert sum(view.shard_sizes()) == N
+        assert view.shards._built == [None] * 4
+        assert view.shards[2].keys == sampler.keys[N // 2:3 * N // 4]
+        assert view.shards._built.count(None) == 3
+
     def test_wrapping_a_sharded_view_is_a_no_op(self):
         view = ShardedSampler.from_sampler(make_sampler(), 4)
         assert ShardedSampler.from_sampler(view, 2) is view

@@ -6,8 +6,9 @@ duplex pipe (:class:`repro.engine.execution.Residents`, fed by
 
 * under ``mp_context="spawn"`` the merged streams are byte-identical to
   ``sharded × serial``, for list-sized and array-sized partials;
-* ``close()`` joins every resident and then unlinks every shm segment,
-  and frees the view at once;
+* the parent builds no shard and exports no segment: each resident
+  builds its own shard from the recipe it is sent;
+* ``close()`` frees the view at once;
 * a resident killed while idle is replaced before the next send, so the
   next request runs as if nothing happened;
 * a failure while replies are still owed leaves no stale reply for the
@@ -18,15 +19,13 @@ duplex pipe (:class:`repro.engine.execution.Residents`, fed by
 """
 
 import gc
-import multiprocessing
 import os
 import signal
 import weakref
-from multiprocessing.shared_memory import SharedMemory
 
 import pytest
 
-from repro.engine import QueryRequest, SamplingEngine, demo_build, shm
+from repro.engine import QueryRequest, SamplingEngine, demo_build
 from repro.engine.execution import ProcessShardRunner, _Resident
 from repro.errors import WorkerCrashedError
 from tests.engine.faulty import DIE_ONCE, FaultyRangeSampler
@@ -48,9 +47,9 @@ def _processes(engine):
     return [r.process for r in _runner(engine)._residents if r is not None]
 
 
-def _serial_values(sampler, requests, shards):
+def _serial_values(sampler, requests, shards, seed=SEED):
     with SamplingEngine(
-        placement="sharded", backend="serial", seed=SEED, shards=shards
+        placement="sharded", backend="serial", seed=seed, shards=shards
     ) as engine:
         results = engine.run(sampler, requests)
     assert all(r.ok for r in results)
@@ -78,38 +77,41 @@ def test_spawn_residents_match_serial_byte_for_byte():
     assert [r.values for r in results] == expected
 
 
-def test_close_joins_residents_before_unlinking_segments(monkeypatch):
+@pytest.mark.parametrize(
+    "mp_context, seed", [("fork", SEED), ("spawn", SEED), ("fork", False)]
+)
+def test_parent_builds_no_shard(monkeypatch, mp_context, seed):
+    # The parent keeps only the planning skeleton: each resident builds
+    # the shard it draws from its recipe, and no segment is exported.
+    # Builds consume no randomness, so the streams stay those of
+    # sharded × serial, also on the view's own stream (seed=False).
     sampler, template = demo_build("range.chunked")
-    before = {p.pid for p in multiprocessing.active_children()}
-    engine = SamplingEngine(
-        placement="sharded", backend="process", seed=SEED, shards=4, max_workers=2
-    )
-    assert all(r.ok for r in engine.run(sampler, _requests(template, SIZES)))
-    processes = _processes(engine)
-    names = [segment.name for segment in engine._shm_segments]
-    assert len(processes) == 2 and names
-    # A return code is recorded only once the process has been waited
-    # for, so this sees whether close() joined the residents before it
-    # unlinked anything.
-    reaped_at_unlink = []
-    unlink = shm.unlink_segments
+    expected = _serial_values(sampler, _requests(template, SIZES), 4, seed=seed)
+    built = []
+    init = type(sampler).__init__
 
-    def checked_unlink(segments):
-        reaped_at_unlink.extend(p._popen.returncode for p in processes)
-        unlink(segments)
+    def counted_init(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(shm, "unlink_segments", checked_unlink)
-    engine.close()
-    assert len(reaped_at_unlink) == 2 and None not in reaped_at_unlink
-    assert {p.pid for p in multiprocessing.active_children()} <= before
-    for name in names:
-        with pytest.raises(FileNotFoundError):
-            SharedMemory(name=name)
+    monkeypatch.setattr(type(sampler), "__init__", counted_init)
+    with SamplingEngine(
+        placement="sharded",
+        backend="process",
+        seed=seed,
+        shards=4,
+        max_workers=2,
+        mp_context=mp_context,
+    ) as engine:
+        results = engine.run(sampler, _requests(template, SIZES))
+        segments = list(engine._shm_segments)
+    assert built == [] and segments == []
+    assert [r.values for r in results] == expected
 
 
 def test_close_frees_the_view_without_a_collection():
     # Nothing the view holds refers back to it, so close() frees the view
-    # and its shards at once rather than at the next garbage collection.
+    # at once rather than at the next garbage collection.
     sampler, template = demo_build("range.chunked")
     engine = SamplingEngine(
         placement="sharded", backend="process", seed=SEED, shards=2, max_workers=2
@@ -182,7 +184,7 @@ def _fail_on_call(monkeypatch, owner, name, nth):
 @pytest.mark.parametrize(
     "owner, name, nth",
     [
-        # shard 1's export fails after shard 0's was exported
+        # shard 1's recipe fails to pickle after shard 0's was pickled
         (ProcessShardRunner, "_key_for", 2),
         # both shards' replies are still owed
         (_Resident, "receive", 1),

@@ -13,6 +13,7 @@ The contract under test (repro.engine.shm + SamplingEngine.share):
 """
 
 import gc
+import multiprocessing
 import pickle
 from array import array
 from multiprocessing.shared_memory import SharedMemory
@@ -309,25 +310,47 @@ class TestLifecycle:
     @pytest.mark.parametrize("mp_context", ["fork", "spawn"])
     def test_dropped_engine_unlinks_segments(self, mp_context):
         # An engine dropped without close() still unlinks every segment
-        # its sharded × process view exported, as soon as it is freed.
+        # share() exported, as soon as it is freed.
         keys, weights = make_keys_weights(500)
         sampler = ChunkedRangeSampler(keys, weights, rng=3)
         engine = SamplingEngine(
-            placement="sharded", backend="process", seed=7, shards=2,
-            max_workers=2, mp_context=mp_context,
+            backend="process", seed=7, max_workers=2, mp_context=mp_context
         )
-        results = engine.run(sampler, range_requests(keys, count=2))
+        token = engine.share(sampler)
+        results = engine.run_token(token, range_requests(keys, count=2))
         assert all(r.ok for r in results), [r.error for r in results]
-        names = [seg.name for seg in engine._shm_segments]
-        assert names
         gc.disable()
         try:
             del engine
         finally:
             gc.enable()
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                SharedMemory(name=name)
+        assert_unlinked(token[1])
+
+    def test_close_joins_workers_before_unlinking_segments(self, monkeypatch):
+        keys, weights = make_keys_weights(500)
+        sampler = ChunkedRangeSampler(keys, weights, rng=3)
+        before = {p.pid for p in multiprocessing.active_children()}
+        engine = SamplingEngine(backend="process", seed=7, max_workers=2)
+        token = engine.share(sampler)
+        results = engine.run_token(token, range_requests(keys, count=4))
+        assert all(r.ok for r in results), [r.error for r in results]
+        processes = [r.process for r in engine._workers._residents if r is not None]
+        assert len(processes) == 2
+        # A return code is recorded only once the process has been waited
+        # for, so this sees whether close() joined the workers before it
+        # unlinked anything.
+        reaped_at_unlink = []
+        unlink = shm.unlink_segments
+
+        def checked_unlink(segments):
+            reaped_at_unlink.extend(p._popen.returncode for p in processes)
+            unlink(segments)
+
+        monkeypatch.setattr(shm, "unlink_segments", checked_unlink)
+        engine.close()
+        assert len(reaped_at_unlink) == 2 and None not in reaped_at_unlink
+        assert {p.pid for p in multiprocessing.active_children()} <= before
+        assert_unlinked(token[1])
 
     def test_no_leak_after_worker_crash(self):
         # A worker hard-dying must not leave segments behind: the parent

@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.core.range_sampler import AliasAugmentedRangeSampler, TreeWalkRangeSampler
 from repro.errors import BuildError, InvalidWeightError
 from repro.substrates.bst import StaticBST
 
@@ -33,6 +34,19 @@ class TestConstruction:
         tree = StaticBST([5.0])
         assert tree.is_leaf(tree.root)
         assert tree.node_weight(tree.root) == 1.0
+
+    def test_key_list_is_shared_and_other_sequences_copied(self):
+        keys = [1.0, 2.0, 3.0]
+        assert StaticBST(keys).keys is keys
+        tree = StaticBST((1.0, 2.0, 3.0))
+        assert type(tree.keys) is list and tree.keys == keys
+
+    @pytest.mark.parametrize(
+        "cls", [TreeWalkRangeSampler, AliasAugmentedRangeSampler]
+    )
+    def test_range_sampler_tree_shares_its_owner_keys(self, cls):
+        sampler = cls([float(i) for i in range(40)], rng=1)
+        assert sampler._tree.keys is sampler.keys
 
 
 class TestConventions:
