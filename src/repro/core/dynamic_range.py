@@ -17,6 +17,22 @@ weighted sampling:
 Query time is ``O((1 + s) log n)`` expected — the §3.2 bound, a log
 factor off Theorem 3's static optimum, which is precisely the trade the
 paper describes (fast updates vs. the un-dynamizable alias structure).
+
+Every update is one pass: one descent from the root along the key's
+search path, one local step, and one bottom-up recomputation of
+``subtree_weight`` and ``size`` over the path (:func:`_pull_path`).
+Insert's local step splits only the subtree the new node displaces (an
+expected O(1) split); delete's merges the deleted node's two children.
+A treap is the unique Cartesian tree of its (key, priority) pairs, and
+each subtree weight is recomputed from its children in ``_pull``'s order,
+never by adding a delta (``old + w`` rounds differently, and the walk
+compares against these sums). So for distinct priorities the result is,
+node for node and sum for sum, the treap that splitting the whole treap
+and merging it back leaves, and every draw is the same. Priorities are
+53-bit floats, equal with probability about N²/2^54; split and merge can
+then reorder the tied nodes on their path, while the one-pass form
+leaves ancestors in place. Both are valid treaps with the same sampling
+law.
 """
 
 from __future__ import annotations
@@ -63,6 +79,27 @@ def _pull(node: _Node) -> None:
     if node.right is not None:
         node.subtree_weight += node.right.subtree_weight
         node.size += node.right.size
+
+
+def _pull_path(path: List[_Node]) -> None:
+    """:func:`_pull` each node of a root path, deepest first.
+
+    The loop is ``_pull`` inlined: each sum is ``weight``, then the left
+    child's sum, then the right's, exactly as ``_pull`` forms it.
+    """
+    for node in reversed(path):
+        total = node.weight
+        size = 1
+        child = node.left
+        if child is not None:
+            total += child.subtree_weight
+            size += child.size
+        child = node.right
+        if child is not None:
+            total += child.subtree_weight
+            size += child.size
+        node.subtree_weight = total
+        node.size = size
 
 
 def _merge(left: Optional[_Node], right: Optional[_Node]) -> Optional[_Node]:
@@ -126,25 +163,56 @@ class DynamicRangeSampler(RangeQueryMixin, Generic[K]):
         """Insert a key with a positive weight; O(log n) expected.
 
         Raises on duplicate keys (the §3.2 BST stores distinct keys; use
-        :meth:`update_weight` to change an existing element).
+        :meth:`update_weight` to change an existing element) and on keys
+        not equal to themselves (NaN), which no search could find again.
+        A rejected insert draws no priority and changes nothing.
+
+        One descent records the key's search path. The new node goes
+        below the last path node that stays above it by ``_merge``'s rule
+        (a higher priority, or an equal one with a larger key), only the
+        subtree it displaces is split under it, and the path above is
+        recomputed: for distinct priorities, node for node the treap a
+        whole-treap split at ``key`` and two merges leave (ties: see the
+        module docstring).
         """
         value = float(weight)
         if not value > 0 or value != value or value == float("inf"):
             raise InvalidWeightError(f"weight must be positive and finite, got {weight!r}")
-        if self._find(key) is not None:
-            raise BuildError(f"key {key!r} already present; use update_weight()")
-        node = _Node(key, value, self._rng.random())
-        left, right = _split(self._root, key, include_key_left=False)
-        self._root = _merge(_merge(left, node), right)
+        if key != key:
+            raise BuildError(f"key {key!r} is not equal to itself")
+        path: List[_Node] = []
+        node = self._root
+        while node is not None:
+            if key == node.key:
+                raise BuildError(f"key {key!r} already present; use update_weight()")
+            path.append(node)
+            node = node.left if key < node.key else node.right
+        new = _Node(key, value, self._rng.random())
+        for depth, node in enumerate(path):
+            if node < new or (node == new and node.key < key):
+                new.left, new.right = _split(node, key, include_key_left=False)
+                _pull(new)
+                del path[depth:]
+                break
+        self._replace_child(path, key, new)
 
     def delete(self, key: K) -> None:
-        """Remove a key; O(log n) expected. KeyError if absent."""
-        left, rest = _split(self._root, key, include_key_left=False)
-        match, right = _split(rest, key, include_key_left=True)
-        if match is None:
-            self._root = _merge(left, right)
-            raise KeyError(f"key {key!r} not present")
-        self._root = _merge(left, right)
+        """Remove a key; O(log n) expected. KeyError if absent.
+
+        One descent to the key; its node is replaced by the merge of its
+        two children and the path above is recomputed: for distinct
+        priorities, node for node the treap that splitting out the key
+        and merging the two sides leaves (ties: see the module docstring).
+        """
+        path: List[_Node] = []
+        node = self._root
+        while node is not None:
+            if key == node.key:
+                self._replace_child(path, key, _merge(node.left, node.right))
+                return
+            path.append(node)
+            node = node.left if key < node.key else node.right
+        raise KeyError(f"key {key!r} not present")
 
     def update_weight(self, key: K, weight: float) -> None:
         """Change a key's weight in place; O(log n)."""
@@ -157,11 +225,23 @@ class DynamicRangeSampler(RangeQueryMixin, Generic[K]):
             path.append(node)
             if key == node.key:
                 node.weight = value
-                for ancestor in reversed(path):
-                    _pull(ancestor)
+                _pull_path(path)
                 return
             node = node.left if key < node.key else node.right
         raise KeyError(f"key {key!r} not present")
+
+    def _replace_child(self, path: List[_Node], key: K, child: Optional[_Node]) -> None:
+        """Hang ``child`` where ``key``'s search leaves ``path``, then
+        recompute the path (the root when ``path`` is empty)."""
+        if not path:
+            self._root = child
+            return
+        parent = path[-1]
+        if key < parent.key:
+            parent.left = child
+        else:
+            parent.right = child
+        _pull_path(path)
 
     def _find(self, key: K) -> Optional[_Node]:
         node = self._root

@@ -31,7 +31,11 @@ def run(quick: bool = False) -> ExperimentResult:
     s = 16
     for n in sizes:
         rng = ensure_rng(1)
-        keys = sorted(rng.sample(range(10 * n), n))
+        # The timed updates use spare keys spread over the same range, so
+        # each insert splits the subtree it displaces (an ascending spare
+        # key would always land on the right spine).
+        drawn = rng.sample(range(10 * n), 2 * n)
+        keys = sorted(drawn[:n])
         weights = [1.0 + rng.random() * 9 for _ in range(n)]
 
         treap = build("range.dynamic", rng=2)
@@ -42,7 +46,7 @@ def run(quick: bool = False) -> ExperimentResult:
         )
         x, y = float(keys[n // 10]), float(keys[9 * n // 10])
 
-        spare_keys = iter(range(10 * n, 20 * n))
+        spare_keys = iter(drawn[n:])
         inserted: list = []
 
         def treap_insert():

@@ -35,6 +35,19 @@ class TestUpdates:
         with pytest.raises(BuildError):
             sampler.insert(1.0)
 
+    def test_nan_key_rejected(self):
+        # A NaN key compares false with every key, so no search finds it
+        # again: ranges it lies outside counted and drew it, and it could
+        # never be deleted.
+        sampler = build([1.0, 2.0])
+        state = sampler._rng.getstate()
+        with pytest.raises(BuildError):
+            sampler.insert(float("nan"))
+        assert sampler._rng.getstate() == state
+        assert len(sampler) == 2
+        assert sampler.keys_in_order() == [1.0, 2.0]
+        assert sampler.count(0.0, 100.0) == 2
+
     def test_bad_weight_rejected(self):
         sampler = DynamicRangeSampler(rng=1)
         with pytest.raises(InvalidWeightError):
