@@ -23,7 +23,7 @@ them all:
   per-request independent RNG streams (seed-spawning via
   :func:`repro.substrates.rng.derive_seed`) and two composable layers:
   a placement (``local`` or the §4.1 ``sharded`` key-space split, whose
-  pure primitives live in :mod:`repro.engine.placement`) over an
+  view and pure primitives live in :mod:`repro.engine.shard`) over an
   execution backend (serial / thread / process,
   :mod:`repro.engine.execution`). The local process backend ships
   picklable ``(spec, params)`` build tokens to the engine's resident
@@ -50,8 +50,7 @@ table.
 """
 
 from repro.engine.demo import demo_build
-from repro.engine.executor import SamplingEngine, spec_token
-from repro.engine.placement import BACKENDS, PLACEMENTS, normalize_backend
+from repro.engine.executor import BACKENDS, PLACEMENTS, SamplingEngine, normalize_backend, spec_token
 from repro.engine.protocol import (
     EngineOp,
     EngineSampler,

@@ -1,6 +1,6 @@
 """The execution layer: *who runs the work*, and the engine's worker processes.
 
-The placement layer (:mod:`repro.engine.placement`) decides how a
+The placement layer (:mod:`repro.engine.shard`) decides how a
 request decomposes — for the sharded placement, into
 :class:`~repro.engine.protocol.ShardTask` sub-draws that each carry
 their own derived seed. This module owns the orthogonal decision of

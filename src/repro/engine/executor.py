@@ -13,12 +13,12 @@ list of :class:`~repro.engine.protocol.QueryResult`:
   the sampler's own instance stream serially (the classic single-stream
   behaviour).
 * **Composable placement × execution layers.** The engine stacks two
-  orthogonal decisions: a **placement**
-  (:mod:`repro.engine.placement` — ``"local"`` runs requests against
-  the whole structure, ``"sharded"`` splits each request's ``s``
-  multinomially over ``shards`` contiguous key-space pieces, §4.1) over
-  an **execution** backend (``"serial"`` in submission order;
-  ``"thread"`` over one engine-owned
+  orthogonal decisions, resolved by :func:`normalize_backend`: a
+  **placement** (``"local"`` runs requests against the whole
+  structure, ``"sharded"`` splits each request's ``s`` multinomially
+  over ``shards`` contiguous key-space pieces, §4.1, in
+  :mod:`repro.engine.shard`) over an **execution** backend
+  (``"serial"`` in submission order; ``"thread"`` over one engine-owned
   :class:`~concurrent.futures.ThreadPoolExecutor`, started by the first
   run, reused by every later one and released by :meth:`close` — on
   2 cores it runs the ``cold-bulk`` benchmark workload (Lemma 2,
@@ -63,23 +63,27 @@ import os
 import pickle
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from difflib import get_close_matches
 from time import perf_counter
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.engine.execution import Residents, make_shard_runner
-from repro.engine.placement import (
-    BACKENDS,
-    DEFAULT_SHARDS,
-    PLACEMENTS,
-    normalize_backend,
-)
 from repro.engine.protocol import QueryRequest, QueryResult, Sampler
 from repro.engine.registry import build
 from repro.errors import WorkerCrashedError
 from repro.substrates.rng import DEFAULT_SEED, derive_seed
 
-__all__ = ["BACKENDS", "PLACEMENTS", "SamplingEngine", "spec_token"]
+__all__ = ["BACKENDS", "PLACEMENTS", "SamplingEngine", "normalize_backend", "spec_token"]
+
+#: Supported placements (the first axis of the backend matrix).
+PLACEMENTS = ("local", "sharded")
+
+#: Execution backends, each valid under every placement (the second axis).
+BACKENDS = ("serial", "thread", "process")
+
+#: Default shard count for the sharded placement when none is given.
+DEFAULT_SHARDS = 4
 
 _BATCHES = obs.counter("engine.batches", "SamplingEngine.run invocations")
 _REQUESTS = obs.counter("engine.requests", "Requests executed by the engine")
@@ -90,6 +94,39 @@ _REQUEST_US = obs.histogram(
     "engine.request_us",
     "Per-request end-to-end sampler execution latency (microseconds)",
 )
+
+
+def _did_you_mean(value: Any, choices: Sequence[str]) -> str:
+    close = get_close_matches(str(value), choices, n=3)
+    return f" (did you mean {', '.join(repr(c) for c in close)}?)" if close else ""
+
+
+def normalize_backend(
+    backend: str, placement: Optional[str] = None
+) -> Tuple[str, str]:
+    """Resolve ``(backend, placement)`` into ``(placement, execution)``.
+
+    ``placement=None`` means the local placement; every placement
+    composes with each of ``serial | thread | process``.
+    """
+    if placement is None:
+        if backend not in BACKENDS:
+            raise ValueError(
+                f"unknown backend {backend!r}{_did_you_mean(backend, BACKENDS)}; "
+                f"choose from {BACKENDS}"
+            )
+        return "local", backend
+    if placement not in PLACEMENTS:
+        raise ValueError(
+            f"unknown placement {placement!r}{_did_you_mean(placement, PLACEMENTS)}; "
+            f"choose from {PLACEMENTS}"
+        )
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"unknown execution backend {backend!r} under "
+            f"placement={placement!r}; choose from {BACKENDS}"
+        )
+    return placement, backend
 
 
 def _attach_flight(error: Exception, trace_id: Optional[str]) -> None:
@@ -119,9 +156,10 @@ class SamplingEngine:
         ``"process"``.
     placement:
         ``"local"`` (default) or ``"sharded"`` — where requests run
-        (:mod:`repro.engine.placement`). ``placement="sharded"``
-        composes with any execution backend; ``backend="process"``
-        under it keeps one shard resident per worker process.
+        (the sharded placement lives in :mod:`repro.engine.shard`).
+        ``placement="sharded"`` composes with any execution backend;
+        ``backend="process"`` under it keeps one shard resident per
+        worker process.
     max_workers:
         Width of the engine's thread pool and its number of worker
         processes: an int ``>= 1`` (else ``ValueError``); defaults to
@@ -138,8 +176,8 @@ class SamplingEngine:
         order for the fan-out backends).
     shards:
         Shard count for the sharded placement (default
-        :data:`~repro.engine.placement.DEFAULT_SHARDS`); clamped to the
-        structure's key count at run time.
+        :data:`DEFAULT_SHARDS`); clamped to the structure's key count
+        at run time.
     mp_context:
         Start method for the engine's worker processes (``"fork"``,
         ``"spawn"``, ``"forkserver"``), under either placement;
@@ -384,16 +422,14 @@ class SamplingEngine:
         the result describes the fan-out plan) and reports it as plain
         data: the plan's cover spans and weights, whether it came out of
         the plan store (``"cached"``) or was built cold, and — for
-        sharded plans — the deterministic expected budget split
-        ``s · w_j / W`` per shard plus each active shard's own plan
-        (``"sub_plans"``; ``None`` for a shard with no plan layer),
-        planned here on demand through the shard's store. Under
-        sharded × process that builds each active shard in this process
-        first (the workers build their own, and draws never use this
-        copy). Planning and building consume no randomness, so
-        explaining a request leaves every seeded stream untouched (the
-        plan stores do warm up, exactly as the request's own shard draws
-        would warm them in this process).
+        sharded plans — the view's
+        :meth:`~repro.engine.shard.ShardedSampler.explain_plan` keys,
+        which plan each active shard here (under sharded × process the
+        workers build their own copies, and draws never use this one).
+        Planning and building consume no randomness, so explaining a
+        request leaves every seeded stream untouched (the plan stores do
+        warm up, exactly as the request's own shard draws would warm
+        them in this process).
 
         Raises :class:`TypeError` for structures with no planning
         surface and :class:`NotImplementedError` for range samplers
@@ -415,25 +451,7 @@ class SamplingEngine:
         )
         info["placement"] = self.placement
         if getattr(view, "plan_kind", None) == "sharded":
-            active = plan.payload
-            total = sum(weight for _, _, _, weight in active)
-            info["budget_split"] = [
-                {
-                    "shard": j,
-                    "span": (a, b),
-                    "weight": weight,
-                    "expected_quota": (
-                        request.s * weight / total if total > 0 else 0.0
-                    ),
-                }
-                for j, a, b, weight in active
-            ]
-            info["sub_plans"] = [
-                view.shards[j].plan_span(a, b).describe()
-                if getattr(view.shards[j], "plan_kind", None) is not None
-                else None
-                for j, a, b, _ in active
-            ]
+            info.update(view.explain_plan(plan, request.s))
         return info
 
     # ------------------------------------------------------------------
@@ -468,9 +486,10 @@ class SamplingEngine:
         caller's own :class:`~repro.engine.shard.ShardedSampler` as
         given, else this engine's view of it, bound to the runner for
         its execution backend. The view is a planning skeleton over the
-        sampler's own keys and weights: the serial and thread runners
-        draw on shards built here, while the process runner sends each
-        worker the recipes of its shards and the parent builds none.
+        sampler's own keys and weights, and every runner builds a shard
+        where it is first read: the serial and thread runners here, on
+        a request's first draw from it, and the process runner in the
+        worker that draws it (the parent builds none).
         Views are memoized on the engine, not the sampler, so a sampler
         shared across engines never runs on another engine's workers,
         and :meth:`close` drops every view."""
@@ -483,9 +502,7 @@ class SamplingEngine:
 
         if isinstance(sampler, ShardedSampler):
             return sampler
-        view = ShardedSampler.from_sampler(sampler, self.shards)
-        if self.execution != "process":
-            view.build_shards()
+        view = ShardedSampler(sampler, self.shards)
         view.bind_runner(make_shard_runner(self, view))
         self._views[id(sampler)] = (sampler, view)
         return view

@@ -25,23 +25,25 @@ plans its own sub-span, through its own plan store, in the process
 that draws from it. A shard's cover is a pure function of the shard and
 its sub-span and consumes no randomness, so where it is computed cannot
 change the output. The same holds one level down for the shards
-themselves: a build consumes no randomness either, so a view made by
-:meth:`ShardedSampler.from_sampler` is a planning skeleton — the
-sampler's own keys and weights, the prefix sums and one recipe per shard
-— and each shard is built from its recipe where it is first read. A
-sharded × process engine's parent builds none: each worker builds the
-shard it draws from. The §4.1 arithmetic — the multinomial split on
+themselves: a build consumes no randomness either, so a view is a
+planning skeleton — the sampler's own keys and weights, the prefix sums
+and one recipe per shard — and each shard is built from its recipe
+where it is first read, in every execution cell. A sharded × process
+engine's parent builds none: each worker builds the shard it draws
+from. The §4.1 arithmetic — the multinomial split on
 ``derive_seed(base, 0)``, the per-shard streams ``derive_seed(base, 1 +
-j)``, and the order-preserving merge — lives in
-:mod:`repro.engine.placement` as pure functions of one stateless 64-bit
-base drawn from the request's stream; this class only *executes* the
-resulting :class:`~repro.engine.protocol.ShardTask` tuple. Who executes
-it is pluggable: by default the shard sub-draws run inline, and an
-engine can :meth:`bind_runner` any execution backend from
-:mod:`repro.engine.execution` — inline, the engine's threads, or its
-worker processes — and the merged output stays a pure function of
-``(structure, request seed, K)`` because every task already carries its
-derived seed.
+j)``, and the order-preserving merge — lives beside the view as pure
+functions (:func:`split_budget`, :func:`shard_seed`,
+:func:`plan_fan_out`, :func:`merge_indices`) of one stateless 64-bit
+base drawn from the request's stream, so the determinism contract is
+enforced once, for every execution backend; the view only *executes*
+the resulting :class:`~repro.engine.protocol.ShardTask` tuple. Who
+executes it is pluggable: by default the shard sub-draws run inline,
+and an engine can :meth:`~ShardedSampler.bind_runner` any execution
+backend from :mod:`repro.engine.execution` — inline, the engine's
+threads, or its worker processes — and the merged output stays a pure
+function of ``(structure, request seed, K)`` because every task already
+carries its derived seed.
 
 This module is imported lazily (by the executor's sharded placement or
 by user code), never from ``repro.engine``'s ``__init__`` — importing
@@ -51,19 +53,28 @@ by user code), never from ``repro.engine``'s ``__init__`` — importing
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import time
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro import obs
 from repro.core import kernels
 from repro.core.planner import QueryPlan, plan_scope
 from repro.core.range_sampler import RangeSamplerBase
+from repro.core.schemes import multinomial_split
 from repro.engine.execution import SerialShardRunner
-from repro.engine.placement import merge_indices, plan_fan_out
 from repro.engine.protocol import ShardTask
 from repro.errors import EmptyQueryError
-from repro.substrates.rng import RNGLike, ensure_rng, release_stream, spawn_rng
+from repro.substrates.rng import RNGLike, derive_seed, ensure_rng, release_stream, spawn_rng
 
-__all__ = ["ShardedSampler", "run_shard_task", "shard_bounds"]
+__all__ = [
+    "ShardedSampler",
+    "merge_indices",
+    "plan_fan_out",
+    "run_shard_task",
+    "shard_bounds",
+    "shard_seed",
+    "split_budget",
+]
 
 _SHARDS = obs.counter(
     "engine.shards",
@@ -77,6 +88,99 @@ _PLAN_REUSE = obs.counter(
     "engine.plan_reuse",
     "Sharded fan-out plans served from the plan store (no table work)",
 )
+_PLACEMENT_SHARDS = obs.counter(
+    "engine.placement_shards",
+    "Shard sub-tasks dispatched by the sharded placement layer",
+)
+_MERGE_US = obs.histogram(
+    "engine.shard_merge_us",
+    "Microseconds spent merging per-shard results into one batch",
+)
+
+
+# -- the §4.1 primitives, pure functions of the request's stateless base --
+
+
+def split_budget(weights: Sequence[float], s: int, base: int) -> List[int]:
+    """Multinomially split ``s`` draws over parts weighted by ``weights``.
+
+    Runs on ``derive_seed(base, 0)`` — the split consumes its own
+    dedicated stream so shard draws (``derive_seed(base, 1 + j)``) are
+    untouched by how many parts the split saw.
+    """
+    rng = ensure_rng(derive_seed(base, 0))
+    try:
+        return multinomial_split(list(weights), s, rng=rng)
+    finally:
+        release_stream(rng)
+
+
+def shard_seed(base: int, shard: int) -> int:
+    """Shard ``shard``'s stateless draw seed for a request with ``base``."""
+    return derive_seed(base, 1 + shard)
+
+
+def plan_fan_out(
+    active: Sequence[Tuple[int, int, int, float]], s: int, base: int
+) -> Tuple[ShardTask, ...]:
+    """The §4.1 shard tasks of one request over its active-shard table.
+
+    ``active`` rows are ``(shard, local_lo, local_hi, weight)``. A single
+    active shard takes the whole budget without consuming the split
+    stream (matching the pre-refactor fast path bit-for-bit); otherwise
+    the budget splits multinomially by weight and zero-quota shards are
+    dropped. Every task carries its derived shard seed, so the tasks —
+    and therefore the merged output — are a pure function of
+    ``(structure, request seed, K)``, whichever backend runs them and in
+    whatever order they finish.
+    """
+    if len(active) == 1:
+        j, lo, hi, _ = active[0]
+        tasks: Tuple[ShardTask, ...] = (ShardTask(j, lo, hi, s, shard_seed(base, j)),)
+    else:
+        counts = split_budget([row[3] for row in active], s, base)
+        tasks = tuple(
+            ShardTask(j, lo, hi, quota, shard_seed(base, j))
+            for (j, lo, hi, _), quota in zip(active, counts)
+            if quota > 0
+        )
+    if obs.ENABLED:
+        _PLACEMENT_SHARDS.add(len(tasks))
+    return tasks
+
+
+def merge_indices(
+    partials: Sequence[Tuple[int, Sequence[int]]], bounds: Sequence[int]
+) -> Any:
+    """Offset shard-local indices to global ones, in shard order.
+
+    The order-preserving merge of §4.1: partials are sorted by shard id
+    (deterministic regardless of which worker finished first) and each
+    shard's local indices are shifted by its global base offset.
+    Dispatches through the kernel ladder — the scalar extend loop below
+    the batch cutoff returns a list;
+    :func:`repro.core.kernels.offset_concat_batch` above it returns an
+    ``intp`` array.
+    Partials may be lists or ``intp`` arrays; an array part is always at
+    least the batch cutoff long, so the scalar loop only sees lists.
+    """
+    enabled = obs.ENABLED
+    started = time.perf_counter() if enabled else 0.0
+    ordered = sorted(partials, key=lambda pair: pair[0])
+    total = sum(len(local) for _, local in ordered)
+    if kernels.use_batch(total):
+        merged = kernels.offset_concat_batch(
+            [local for _, local in ordered],
+            [bounds[j] for j, _ in ordered],
+        )
+    else:
+        merged = []
+        for j, local in ordered:
+            offset = bounds[j]
+            merged.extend(offset + index for index in local)
+    if enabled:
+        _MERGE_US.observe((time.perf_counter() - started) * 1e6)
+    return merged
 
 
 def run_shard_task(shard: Any, task: ShardTask) -> Tuple[int, Sequence[int]]:
@@ -120,6 +224,13 @@ class _Shards:
     in the process that reads it, and :meth:`token` hands the recipe to a
     worker process that builds its own copy. The object refers to the
     view's lists, never to the view, so a runner may hold it.
+
+    Builds take no lock. Under the sharded placement an engine runs a
+    batch's requests in submission order, and one request's tasks name
+    distinct shards, so within one ``engine.run`` call no two threads
+    build the same shard. Two concurrent runs, or a caller's own view
+    shared by two engines, can at worst build a shard twice, into equal
+    structures, and the last assignment wins.
     """
 
     __slots__ = ("cls", "bounds", "_keys", "_weights", "_rngs", "_built")
@@ -131,16 +242,13 @@ class _Shards:
         weights: Sequence[float],
         bounds: List[int],
         rngs: Sequence[Any],
-        built: Optional[Sequence[Any]] = None,
     ):
         self.cls = cls
         self.bounds = bounds
         self._keys = keys
         self._weights = weights
         self._rngs = rngs
-        self._built: List[Any] = (
-            list(built) if built is not None else [None] * (len(bounds) - 1)
-        )
+        self._built: List[Any] = [None] * (len(bounds) - 1)
 
     def __len__(self) -> int:
         return len(self._built)
@@ -164,68 +272,64 @@ class _Shards:
         ``rng=0``. Every shard draw brings its own stream, so the fixed
         ``rng`` keeps the worker's build byte-identical to this
         process's."""
-        built = self._built[j]
-        cls = self.cls if built is None else type(built)
         a, b = self.bounds[j], self.bounds[j + 1]
         params = (
             ("keys", tuple(self._keys[a:b])),
             ("rng", 0),
             ("weights", tuple(self._weights[a:b])),
         )
-        return ("call", f"{cls.__module__}:{cls.__qualname__}", params)
+        return ("call", f"{self.cls.__module__}:{self.cls.__qualname__}", params)
 
 
 class ShardedSampler(RangeSamplerBase):
-    """K contiguous key-space shards behind one range-sampler facade.
+    """K contiguous key-space shards of ``sampler`` behind one
+    range-sampler facade.
 
-    Construct through :meth:`from_sampler` (a planning skeleton over an
-    existing structure) or :meth:`from_params` (build shards directly
-    from ``keys`` and ``weights``). The wrapper keeps the full sorted key
-    and weight arrays (for ``span_of`` and the inherited WoR paths) plus
-    a prefix-sum array so each shard's weight inside a query span costs
-    two array reads. ``shards[j]`` is shard ``j``'s structure, built on
-    first read when the view was made by :meth:`from_sampler`.
+    The view is a planning skeleton: ``sampler``'s own key and weight
+    lists (for ``span_of`` and the inherited WoR paths; its constructor
+    validated them), a prefix-sum array so each shard's weight inside a
+    query span costs two array reads, and one recipe per shard: a fresh
+    instance of the *same* structure class over the shard's contiguous
+    key slice, so the per-shard query cost keeps the structure's own
+    bounds on ``n/K`` keys. ``shards[j]`` builds shard ``j`` on first
+    read (an in-process draw, :meth:`space_words`, :meth:`explain_plan`);
+    a worker process builds its own copy. ``num_shards`` is clamped to
+    the key count (every shard stays non-empty). The shard streams are
+    spawned from ``rng`` in shard order, so the view's own stream is the
+    same whether or not any shard is built.
     """
 
     plan_kind = "sharded"
 
-    def __init__(
-        self,
-        shards: Sequence[Any],
-        keys: Sequence[float],
-        weights: Optional[Sequence[float]] = None,
-        rng: RNGLike = None,
-        plan_cache_size: Optional[int] = None,
-    ):
-        super().__init__(keys, weights)
-        if not shards:
-            raise ValueError("ShardedSampler needs at least one shard")
-        sizes = [len(shard) for shard in shards]
-        if sum(sizes) != len(self.keys):
-            raise ValueError(
-                f"shard sizes {sizes} do not partition {len(self.keys)} keys"
+    def __init__(self, sampler: Any, num_shards: int, rng: RNGLike = None):
+        if not self.supports(sampler):
+            raise TypeError(
+                f"{type(sampler).__name__} does not support key-space "
+                f"sharding; the sharded placement needs a sorted-key range "
+                f"structure (e.g. range.chunked, range.treewalk)"
             )
-        bounds = [0]
-        for size in sizes:
-            bounds.append(bounds[-1] + size)
-        self._assemble(
-            _Shards(
-                type(shards[0]), self.keys, self.weights, bounds,
-                [None] * len(sizes), built=shards,
-            ),
-            ensure_rng(rng),
-            plan_cache_size,
+        if isinstance(sampler, ShardedSampler):
+            raise TypeError(
+                "the sampler is already a ShardedSampler; shard the "
+                "structure it views instead"
+            )
+        if not isinstance(num_shards, int) or isinstance(num_shards, bool):
+            raise TypeError(f"num_shards must be an int, got {num_shards!r}")
+        if num_shards < 1:
+            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
+        self.keys, self.weights = sampler.keys, sampler.weights
+        self._all_weights_equal = sampler._all_weights_equal
+        n = len(self.keys)
+        count = min(num_shards, n)
+        self._rng = ensure_rng(rng)
+        rngs = [spawn_rng(self._rng, salt=j) for j in range(count)]
+        self.shards = _Shards(
+            type(sampler), self.keys, self.weights, shard_bounds(n, count), rngs
         )
-
-    def _assemble(
-        self, shards: _Shards, rng: Any, plan_cache_size: Optional[int] = None
-    ) -> None:
-        """Everything a view keeps beside its keys and weights."""
-        self.shards = shards
-        self._bounds: List[int] = shards.bounds
-        if kernels.use_batch_build(len(self.weights)):
+        self._bounds: List[int] = self.shards.bounds
+        if kernels.use_batch_build(n):
             np = kernels.np
-            prefix_arr = np.empty(len(self.weights) + 1, dtype=np.float64)
+            prefix_arr = np.empty(n + 1, dtype=np.float64)
             prefix_arr[0] = 0.0
             np.cumsum(np.asarray(self.weights, dtype=np.float64), out=prefix_arr[1:])
             prefix = prefix_arr.tolist()
@@ -236,91 +340,13 @@ class ShardedSampler(RangeSamplerBase):
                 acc += weight
                 prefix.append(acc)
         self._prefix: List[float] = prefix
-        self._rng = rng
         self._runner: Any = SerialShardRunner()
-        self.plan_cache = plan_scope(self.plan_kind, plan_cache_size)
-
-    # -- construction ------------------------------------------------------
+        self.plan_cache = plan_scope(self.plan_kind)
 
     @staticmethod
     def supports(sampler: Any) -> bool:
         """Whether ``sampler`` can be sharded (sorted-key range structure)."""
         return isinstance(sampler, RangeSamplerBase)
-
-    @classmethod
-    def from_sampler(
-        cls,
-        sampler: Any,
-        num_shards: int,
-        rng: RNGLike = None,
-    ) -> "ShardedSampler":
-        """A planning skeleton that partitions ``sampler``'s key space
-        into ``num_shards`` shards.
-
-        Each shard is a fresh instance of the *same* structure class over
-        its contiguous key slice, so the per-shard query cost keeps the
-        structure's own bounds on ``n/K`` keys; it is built when
-        ``shards[j]`` is first read (a draw on an in-process runner,
-        :meth:`space_words`, ``explain``) or :meth:`build_shards` runs,
-        and never when a worker process draws it. The view shares
-        ``sampler``'s keys and weights, which its constructor validated,
-        and spawns the shard streams from ``rng`` as :meth:`from_params`
-        does, so its own stream is the same whether or not any shard is
-        built. ``num_shards`` is clamped to the key count (every shard
-        stays non-empty).
-        """
-        if isinstance(sampler, cls):
-            return sampler
-        if not cls.supports(sampler):
-            raise TypeError(
-                f"{type(sampler).__name__} does not support key-space "
-                f"sharding; the sharded placement needs a sorted-key range "
-                f"structure (e.g. range.chunked, range.treewalk)"
-            )
-        if not isinstance(num_shards, int) or isinstance(num_shards, bool):
-            raise TypeError(f"num_shards must be an int, got {num_shards!r}")
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        view = cls.__new__(cls)
-        view.keys, view.weights = sampler.keys, sampler.weights
-        view._all_weights_equal = sampler._all_weights_equal
-        view._plan_shards(type(sampler), num_shards, rng)
-        return view
-
-    @classmethod
-    def from_params(
-        cls,
-        shard_cls: type,
-        keys: Sequence[float],
-        weights: Optional[Sequence[float]],
-        num_shards: int,
-        rng: RNGLike = None,
-    ) -> "ShardedSampler":
-        """Build ``num_shards`` instances of ``shard_cls`` over key slices
-        (``keys`` and ``weights`` are validated as any range sampler's)."""
-        view = cls.__new__(cls)
-        RangeSamplerBase.__init__(view, keys, weights)
-        view._plan_shards(shard_cls, num_shards, rng)
-        view.build_shards()
-        return view
-
-    def _plan_shards(self, shard_cls: type, num_shards: int, rng: RNGLike) -> None:
-        """One recipe of ``shard_cls`` per shard of this view's keys
-        (``num_shards`` clamped to the key count), each with its stream
-        spawned from ``rng`` in shard order; builds nothing."""
-        n = len(self.keys)
-        count = max(1, min(num_shards, n))
-        base_rng = ensure_rng(rng)
-        rngs = [spawn_rng(base_rng, salt=j) for j in range(count)]
-        self._assemble(
-            _Shards(shard_cls, self.keys, self.weights, shard_bounds(n, count), rngs),
-            base_rng,
-        )
-
-    def build_shards(self) -> None:
-        """Build every shard not built yet, in this process."""
-        for _ in self.shards:  # reading a shard builds it
-            pass
 
     # -- introspection -----------------------------------------------------
 
@@ -417,6 +443,34 @@ class ShardedSampler(RangeSamplerBase):
             weights=tuple(weight for _, _, _, weight in active),
             payload=active,
         )
+
+    def explain_plan(self, plan: QueryPlan, s: int) -> Dict[str, Any]:
+        """The sharded keys of ``SamplingEngine.explain`` for ``plan``.
+
+        ``"budget_split"`` gives each active shard's span, weight and
+        deterministic expected quota ``s · w_j / W``; ``"sub_plans"`` each
+        active shard's own plan (``None`` for a shard with no plan
+        layer), planned on demand through the shard's store, which builds
+        the shard if it was not built yet. Neither consumes randomness.
+        """
+        active = plan.payload
+        total = sum(weight for _, _, _, weight in active)
+        planful = self.shards.cls.plan_kind is not None
+        return {
+            "budget_split": [
+                {
+                    "shard": j,
+                    "span": (a, b),
+                    "weight": weight,
+                    "expected_quota": s * weight / total if total > 0 else 0.0,
+                }
+                for j, a, b, weight in active
+            ],
+            "sub_plans": [
+                self.shards[j].plan_span(a, b).describe() if planful else None
+                for j, a, b, _ in active
+            ],
+        }
 
     def _fan_out(
         self, lo: int, hi: int, s: int, rng: RNGLike = None, span: Any = None

@@ -67,8 +67,8 @@ from repro.engine.protocol import QueryRequest, QueryResult, ShardTask
 
 __all__ = ["build_from_token", "execute", "serve"]
 
-#: Per-worker-process resident samplers, keyed by the pickled token.
-_RESIDENT: Dict[bytes, Any] = {}
+#: Per-worker-process resident samplers, keyed by token id (:func:`serve`).
+_RESIDENT: Dict[Any, Any] = {}
 
 
 def build_from_token(token: Tuple[Any, ...]) -> Any:
@@ -108,15 +108,15 @@ def _picklable_error(exc: Exception) -> Exception:
 
 
 def execute(
-    key: bytes,
+    key: Any,
     token: Tuple[Any, ...],
     kind: str,
     items: List[Any],
     harvest: bool = False,
 ) -> Tuple[int, List[Any], Optional[dict]]:
-    """Run one message's ``items`` on the resident sampler for ``token``:
-    ``(request, seed)`` jobs for ``kind`` ``"chunk"``
-    (:func:`_run_request`), shard sub-draws for ``"shard"``
+    """Run one message's ``items`` on the sampler resident under ``key``
+    (built from ``token``): ``(request, seed)`` jobs for ``kind``
+    ``"chunk"`` (:func:`_run_request`), shard sub-draws for ``"shard"``
     (:func:`_run_draw`). Every failure, a failed build included, is
     captured per item, so one bad item cannot poison its batchmates.
 
@@ -146,7 +146,7 @@ def execute(
     return rebuilds, outcomes, None
 
 
-def _resident(key: bytes, token: Tuple[Any, ...]) -> Any:
+def _resident(key: Any, token: Tuple[Any, ...]) -> Any:
     """The sampler resident under ``key``, built from ``token`` on first use."""
     sampler = _RESIDENT.get(key)
     if sampler is None:
@@ -157,7 +157,7 @@ def _resident(key: bytes, token: Tuple[Any, ...]) -> Any:
 
 
 def _run_request(
-    key: bytes,
+    key: Any,
     token: Tuple[Any, ...],
     job: Tuple[QueryRequest, Optional[int]],
     harvest: bool,
@@ -195,7 +195,7 @@ def _run_request(
 
 
 def _run_draw(
-    key: bytes, token: Tuple[Any, ...], entry: Tuple[Any, ...], harvest: bool
+    key: Any, token: Tuple[Any, ...], entry: Tuple[Any, ...], harvest: bool
 ) -> Tuple[str, Any]:
     """One shard sub-draw on this worker's resident shard.
 
@@ -257,12 +257,15 @@ def serve(conn: Any) -> None:
     * ``None`` — stop.
 
     The loop also ends when every copy of the parent's end is closed.
-    A token is unpickled only to build its sampler; afterwards only its
-    head (kind and label, for harvest tags) is kept next to the built
-    sampler in ``_RESIDENT``.
+    Samplers are resident under their token id, starting from an empty
+    ``_RESIDENT`` (a forked worker's inherited entries are not its own).
+    A token's bytes are kept only until its sampler is built, since a
+    failed build is retried from them on the next message; afterwards
+    only its head (kind and label, for harvest tags) is kept.
     """
-    keys: Dict[int, bytes] = {}
-    heads: Dict[bytes, Tuple[Any, ...]] = {}
+    _RESIDENT.clear()
+    pending: Dict[int, bytes] = {}
+    heads: Dict[int, Tuple[Any, ...]] = {}
     while True:
         try:
             message = pickle.loads(conn.recv_bytes())
@@ -272,13 +275,13 @@ def serve(conn: Any) -> None:
             return
         kind, tid, body = message[:3]
         if kind == "token":
-            keys[tid] = body
+            pending[tid] = body
             continue
-        key = keys[tid]
-        head = heads.get(key) if key in _RESIDENT else None
-        token = head if head is not None else pickle.loads(key)
-        conn.send(execute(key, token, kind, body, message[3]))
-        heads[key] = token[:2]
+        token = heads[tid] if tid in _RESIDENT else pickle.loads(pending[tid])
+        conn.send(execute(tid, token, kind, body, message[3]))
+        if tid in pending and tid in _RESIDENT:
+            del pending[tid]
+            heads[tid] = token[:2]
 
 
 def _spec_label(token: Tuple[Any, ...]) -> str:

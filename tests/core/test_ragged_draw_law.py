@@ -73,7 +73,7 @@ def _build(kind):
     else:
         sampler = ChunkedRangeSampler(KEYS, WEIGHTS, rng=1, chunk_size=2)
     if view == "sharded2":
-        return ShardedSampler.from_sampler(sampler, 2, rng=1)
+        return ShardedSampler(sampler, 2, rng=1)
     return sampler
 
 

@@ -98,6 +98,6 @@ def test_budget_failure_is_not_an_empty_query(path):
         assert type(result.error) is SampleBudgetExceededError
         return
     if path == "sharded2":
-        sampler = ShardedSampler.from_sampler(sampler, 2)
+        sampler = ShardedSampler(sampler, 2)
     with pytest.raises(SampleBudgetExceededError):
         sampler.sample_without_replacement(0.0, 2.0, 3)

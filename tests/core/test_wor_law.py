@@ -65,7 +65,7 @@ def _build(kind, keys, weights):
     if kind == "range.naive":
         return NaiveRangeSampler(keys, weights, rng=1)
     assert kind == "sharded2"
-    return ShardedSampler.from_sampler(
+    return ShardedSampler(
         ChunkedRangeSampler(keys, weights, rng=1), 2, rng=1
     )
 

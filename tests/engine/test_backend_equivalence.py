@@ -28,7 +28,7 @@ import random
 import pytest
 
 from repro.engine import QueryRequest, SamplingEngine, build, demo_build
-from repro.engine.placement import split_budget
+from repro.engine.shard import split_budget
 from repro.engine.demo import DEMO_N
 from repro.errors import WorkerCrashedError
 from repro.stats.tests import (

@@ -110,6 +110,7 @@ class TestBackends:
     def test_thread_speedup_on_multicore(self):
         if (os.cpu_count() or 1) < 2:
             pytest.skip("single-core runner — no parallel speedup to measure")
+        import gc
         import time
 
         requests = make_requests(count=1000, s=8)
@@ -117,9 +118,13 @@ class TestBackends:
         serial = SamplingEngine(backend="serial", seed=7)
         threaded = SamplingEngine(backend="thread", seed=7)
         serial.run(sampler, requests[:32])  # warm plan caches
+        # A full collection of the run's tracked objects would otherwise
+        # land inside one batch or the other, and decide the verdict.
+        gc.collect()
         started = time.perf_counter()
         serial.run(sampler, requests)
         serial_s = time.perf_counter() - started
+        gc.collect()
         started = time.perf_counter()
         threaded.run(sampler, requests)
         thread_s = time.perf_counter() - started

@@ -1,6 +1,7 @@
 """Placement layer: backend normalization, §4.1 primitives, merge ladder.
 
-The contracts under test (repro.engine.placement):
+The contracts under test (the axes in repro.engine.executor, the §4.1
+primitives in repro.engine.shard):
 
 * ``normalize_backend`` maps every backend string onto the
   placement × execution matrix and rejects nonsense (the retired
@@ -29,7 +30,7 @@ from repro.engine import (
     build,
     normalize_backend,
 )
-from repro.engine.placement import (
+from repro.engine.shard import (
     merge_indices,
     plan_fan_out,
     shard_seed,

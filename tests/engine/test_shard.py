@@ -1,5 +1,8 @@
 """Sharded × thread: seeded reproducibility, partitioning, edge cases, obs."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.engine import QueryRequest, SamplingEngine, build
@@ -78,37 +81,37 @@ class TestSeededReproducibility:
 class TestPartitioning:
     def test_shard_count_clamped_to_key_count(self):
         small = build("range.chunked", keys=[1.0, 2.0, 3.0], rng=1)
-        view = ShardedSampler.from_sampler(small, 8)
+        view = ShardedSampler(small, 8)
         assert view.num_shards == 3
         assert view.shard_sizes() == [1, 1, 1]
 
     def test_query_inside_a_single_shard(self):
         # [0, 30] touches only shard 0 of 8; the other shards contribute
         # an empty sub-span and must be skipped, not sampled.
-        view = ShardedSampler.from_sampler(make_sampler(), 8)
+        view = ShardedSampler(make_sampler(), 8)
         values = view.sample(0.0, 30.0, 10, rng=3)
         assert all(0.0 <= value <= 30.0 for value in values)
 
     def test_sample_indices_map_to_global_positions(self):
-        view = ShardedSampler.from_sampler(make_sampler(), 4)
+        view = ShardedSampler(make_sampler(), 4)
         indices = view.sample_indices(50.0, 200.0, 20, rng=9)
         assert all(0 <= index < N for index in indices)
         assert all(50.0 <= KEYS[index] <= 200.0 for index in indices)
 
     def test_without_replacement_draws_distinct_keys(self):
-        view = ShardedSampler.from_sampler(make_sampler(), 4)
+        view = ShardedSampler(make_sampler(), 4)
         values = view.sample_without_replacement(10.0, 220.0, 24, rng=11)
         assert len(values) == len(set(values)) == 24
 
     def test_describe_reports_sharding(self):
-        view = ShardedSampler.from_sampler(make_sampler(), 4)
+        view = ShardedSampler(make_sampler(), 4)
         info = view.describe()
         assert info["shards"] == 4
         assert info["shard_type"] == "ChunkedRangeSampler"
 
     def test_skeleton_shares_the_sampler_lists_and_builds_no_shard(self):
         sampler = make_sampler()
-        view = ShardedSampler.from_sampler(sampler, 4)
+        view = ShardedSampler(sampler, 4)
         assert view.keys is sampler.keys and view.weights is sampler.weights
         assert view.describe()["shard_type"] == "ChunkedRangeSampler"
         assert sum(view.shard_sizes()) == N
@@ -116,9 +119,88 @@ class TestPartitioning:
         assert view.shards[2].keys == sampler.keys[N // 2:3 * N // 4]
         assert view.shards._built.count(None) == 3
 
-    def test_wrapping_a_sharded_view_is_a_no_op(self):
-        view = ShardedSampler.from_sampler(make_sampler(), 4)
-        assert ShardedSampler.from_sampler(view, 2) is view
+    def test_a_sharded_view_cannot_be_sharded_again(self):
+        view = ShardedSampler(make_sampler(), 4)
+        with pytest.raises(TypeError, match="already a ShardedSampler"):
+            ShardedSampler(view, 2)
+
+    def test_engine_runs_a_callers_view_as_given(self):
+        view = ShardedSampler(make_sampler(), 2)
+        engine = SamplingEngine(placement="sharded", backend="serial", seed=3, shards=4)
+        assert engine._view(view) is view
+        requests = make_requests(count=4)
+        results = engine.run(view, requests)
+        assert all(r.ok for r in results)
+        assert view.num_shards == 2 and engine._views == {}
+        fresh = SamplingEngine(placement="sharded", backend="serial", seed=3, shards=2)
+        assert [r.values for r in results] == [
+            r.values for r in fresh.run(make_sampler(), requests)
+        ]
+
+
+def inside_shard0():
+    """Requests whose span lies inside shard 0 of 4 (keys 0..59)."""
+    return [QueryRequest(op="sample", args=(3.0, 40.0), s=s) for s in (4, 32)]
+
+
+def over_every_shard(sizes=(8, 64)):
+    return [QueryRequest(op="sample", args=(0.0, 239.0), s=s) for s in sizes]
+
+
+class TestLazyBuild:
+    """Every cell builds shard ``j`` where it is first read."""
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_a_batch_builds_only_the_shards_it_reads(self, backend):
+        sampler = make_sampler()
+        with SamplingEngine(
+            placement="sharded", backend=backend, seed=11, shards=4, max_workers=2
+        ) as engine:
+            assert all(r.ok for r in engine.run(sampler, inside_shard0()))
+            built = engine._view(sampler).shards._built
+            assert [shard is not None for shard in built] == [True, False, False, False]
+            outputs = [r.unwrap() for r in engine.run(sampler, over_every_shard())]
+            assert None not in built
+        with SamplingEngine(
+            placement="sharded", backend="process", seed=11, shards=4, max_workers=2
+        ) as process:
+            process.run(make_sampler(), inside_shard0())
+            results = process.run(make_sampler(), over_every_shard())
+            assert [r.unwrap() for r in results] == outputs
+
+    def test_racing_first_reads_draw_as_serial(self):
+        # Two runs race to build one engine's shards on more pool threads
+        # than cores; a shard built twice is built equal, so no draw moves.
+        with SamplingEngine(
+            placement="sharded", backend="serial", seed=5, shards=8
+        ) as serial:
+            expected = [r.unwrap() for r in serial.run(make_sampler(), over_every_shard([64] * 8))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                sampler = make_sampler()
+                outputs = []
+                with SamplingEngine(
+                    placement="sharded", backend="thread", seed=5, shards=8, max_workers=8
+                ) as engine:
+                    runs = [
+                        threading.Thread(
+                            target=lambda: outputs.append([
+                                r.unwrap()
+                                for r in engine.run(sampler, over_every_shard([64] * 8))
+                            ])
+                        )
+                        for _ in range(2)
+                    ]
+                    for run in runs:
+                        run.start()
+                    for run in runs:
+                        run.join(30)
+                    assert not any(run.is_alive() for run in runs)
+                assert outputs == [expected, expected]
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestEdgeCases:
@@ -145,7 +227,7 @@ class TestEdgeCases:
     def test_index_span_outside_the_keys_rejected(self, span):
         # Partial spans are not clamped and disjoint ones are not an
         # empty query: the span itself is wrong, before any plan exists.
-        view = ShardedSampler.from_sampler(make_sampler(), 4)
+        view = ShardedSampler(make_sampler(), 4)
         with pytest.raises(ValueError, match=rf"outside \[0, {N}\)") as info:
             view.sample_span(*span, 16, rng=7)
         assert not isinstance(info.value, EmptyQueryError)
@@ -163,9 +245,9 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="shards must be"):
             SamplingEngine(placement="sharded", backend="thread", shards=0)
         with pytest.raises(ValueError, match="num_shards must be >= 1"):
-            ShardedSampler.from_sampler(make_sampler(), 0)
+            ShardedSampler(make_sampler(), 0)
         with pytest.raises(TypeError, match="num_shards must be an int"):
-            ShardedSampler.from_sampler(make_sampler(), 2.5)
+            ShardedSampler(make_sampler(), 2.5)
 
     def test_view_is_memoized_on_the_engine_not_the_sampler(self):
         engine = SamplingEngine(placement="sharded", backend="thread", seed=1, shards=4)
